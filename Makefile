@@ -6,7 +6,7 @@ GO ?= go
 # stepping and its equivalence/error-path suites; internal/controlplane
 # holds the daemon's membership, checkpoint, and policy-API suites;
 # internal/lint holds the contract analyzers and their fixture suites;
-# internal/telemetry holds the sharded hub, time-series store, energy
+# internal/telemetry holds the hub, time-series store, energy
 # ledger, and alert-engine suites; internal/provenance holds the
 # causal tracer and the capgpu-trace explain/attribution engine;
 # internal/workload holds the CNN pipelines and the LLM serving family
@@ -100,49 +100,21 @@ trace-verify:
 	@echo "trace-verify: ok"
 
 # Coverage ratchet: each listed package must stay at or above its floor.
+COVER_FLOORS = cluster:$(CLUSTER_COVER_FLOOR) controlplane:$(CONTROLPLANE_COVER_FLOOR) \
+	lint:$(LINT_COVER_FLOOR) telemetry:$(TELEMETRY_COVER_FLOOR) \
+	provenance:$(PROVENANCE_COVER_FLOOR) workload:$(WORKLOAD_COVER_FLOOR)
+
 cover:
-	@$(GO) test -coverprofile=/tmp/capgpu-cluster.cov ./internal/cluster/ | tee /tmp/capgpu-cluster-cover.txt
-	@pct="$$(grep -o 'coverage: [0-9.]*' /tmp/capgpu-cluster-cover.txt | grep -o '[0-9.]*')"; \
-	ok="$$(awk -v p="$$pct" -v f="$(CLUSTER_COVER_FLOOR)" 'BEGIN { print (p >= f) ? 1 : 0 }')"; \
-	if [ "$$ok" != "1" ]; then \
-		echo "cover: internal/cluster coverage $$pct% is below the $(CLUSTER_COVER_FLOOR)% floor"; exit 1; \
-	fi; \
-	echo "cover: internal/cluster $$pct% >= $(CLUSTER_COVER_FLOOR)% floor"
-	@$(GO) test -coverprofile=/tmp/capgpu-controlplane.cov ./internal/controlplane/ | tee /tmp/capgpu-controlplane-cover.txt
-	@pct="$$(grep -o 'coverage: [0-9.]*' /tmp/capgpu-controlplane-cover.txt | grep -o '[0-9.]*')"; \
-	ok="$$(awk -v p="$$pct" -v f="$(CONTROLPLANE_COVER_FLOOR)" 'BEGIN { print (p >= f) ? 1 : 0 }')"; \
-	if [ "$$ok" != "1" ]; then \
-		echo "cover: internal/controlplane coverage $$pct% is below the $(CONTROLPLANE_COVER_FLOOR)% floor"; exit 1; \
-	fi; \
-	echo "cover: internal/controlplane $$pct% >= $(CONTROLPLANE_COVER_FLOOR)% floor"
-	@$(GO) test -coverprofile=/tmp/capgpu-lint.cov ./internal/lint/ | tee /tmp/capgpu-lint-cover.txt
-	@pct="$$(grep -o 'coverage: [0-9.]*' /tmp/capgpu-lint-cover.txt | grep -o '[0-9.]*')"; \
-	ok="$$(awk -v p="$$pct" -v f="$(LINT_COVER_FLOOR)" 'BEGIN { print (p >= f) ? 1 : 0 }')"; \
-	if [ "$$ok" != "1" ]; then \
-		echo "cover: internal/lint coverage $$pct% is below the $(LINT_COVER_FLOOR)% floor"; exit 1; \
-	fi; \
-	echo "cover: internal/lint $$pct% >= $(LINT_COVER_FLOOR)% floor"
-	@$(GO) test -coverprofile=/tmp/capgpu-telemetry.cov ./internal/telemetry/ | tee /tmp/capgpu-telemetry-cover.txt
-	@pct="$$(grep -o 'coverage: [0-9.]*' /tmp/capgpu-telemetry-cover.txt | grep -o '[0-9.]*')"; \
-	ok="$$(awk -v p="$$pct" -v f="$(TELEMETRY_COVER_FLOOR)" 'BEGIN { print (p >= f) ? 1 : 0 }')"; \
-	if [ "$$ok" != "1" ]; then \
-		echo "cover: internal/telemetry coverage $$pct% is below the $(TELEMETRY_COVER_FLOOR)% floor"; exit 1; \
-	fi; \
-	echo "cover: internal/telemetry $$pct% >= $(TELEMETRY_COVER_FLOOR)% floor"
-	@$(GO) test -coverprofile=/tmp/capgpu-provenance.cov ./internal/provenance/ | tee /tmp/capgpu-provenance-cover.txt
-	@pct="$$(grep -o 'coverage: [0-9.]*' /tmp/capgpu-provenance-cover.txt | grep -o '[0-9.]*')"; \
-	ok="$$(awk -v p="$$pct" -v f="$(PROVENANCE_COVER_FLOOR)" 'BEGIN { print (p >= f) ? 1 : 0 }')"; \
-	if [ "$$ok" != "1" ]; then \
-		echo "cover: internal/provenance coverage $$pct% is below the $(PROVENANCE_COVER_FLOOR)% floor"; exit 1; \
-	fi; \
-	echo "cover: internal/provenance $$pct% >= $(PROVENANCE_COVER_FLOOR)% floor"
-	@$(GO) test -coverprofile=/tmp/capgpu-workload.cov ./internal/workload/ | tee /tmp/capgpu-workload-cover.txt
-	@pct="$$(grep -o 'coverage: [0-9.]*' /tmp/capgpu-workload-cover.txt | grep -o '[0-9.]*')"; \
-	ok="$$(awk -v p="$$pct" -v f="$(WORKLOAD_COVER_FLOOR)" 'BEGIN { print (p >= f) ? 1 : 0 }')"; \
-	if [ "$$ok" != "1" ]; then \
-		echo "cover: internal/workload coverage $$pct% is below the $(WORKLOAD_COVER_FLOOR)% floor"; exit 1; \
-	fi; \
-	echo "cover: internal/workload $$pct% >= $(WORKLOAD_COVER_FLOOR)% floor"
+	@for pair in $(COVER_FLOORS); do \
+		pkg="$${pair%%:*}"; floor="$${pair##*:}"; \
+		$(GO) test -coverprofile=/tmp/capgpu-$$pkg.cov ./internal/$$pkg/ | tee /tmp/capgpu-$$pkg-cover.txt; \
+		pct="$$(grep -o 'coverage: [0-9.]*' /tmp/capgpu-$$pkg-cover.txt | grep -o '[0-9.]*')"; \
+		ok="$$(awk -v p="$$pct" -v f="$$floor" 'BEGIN { print (p >= f) ? 1 : 0 }')"; \
+		if [ "$$ok" != "1" ]; then \
+			echo "cover: internal/$$pkg coverage $$pct% is below the $$floor% floor"; exit 1; \
+		fi; \
+		echo "cover: internal/$$pkg $$pct% >= $$floor% floor"; \
+	done
 
 # Deterministic control-plane soak: one simulated day (21600 periods)
 # of diurnal + bursty load over a seeded churn schedule (joins, drains,

@@ -841,43 +841,39 @@ func measureBench(seed int64) benchReport {
 		})
 	}
 
-	// Hub contention matrix: W goroutines pushing one node's period
-	// stream each, against a single-mutex hub (Shards=1) and the sharded
-	// default — the benchmark that pins the sharding win at workers>1.
-	for _, shards := range []int{1, telemetry.DefaultShards} {
-		for _, workers := range []int{1, 8} {
-			shards, workers := shards, workers
-			run(fmt.Sprintf("hub-emit/shards=%d/workers=%d", shards, workers), func(b *testing.B) {
-				hub := telemetry.New(telemetry.Config{Shards: shards,
-					Store: telemetry.StoreConfig{RingCapacity: 256}})
-				names := make([]string, workers)
-				sample := func(node string, period int) telemetry.PeriodSample {
-					return telemetry.PeriodSample{
-						Node: node, Period: period, TimeS: float64(period) * 4,
-						SetpointW: 900, AvgPowerW: 895, TruePowerW: 894,
-						EnergyJ: 3580, CPUFreqGHz: 2.2,
+	// Hub contention rows: W goroutines pushing one node's period
+	// stream each through the hub's one node-state lock.
+	for _, workers := range []int{1, 8} {
+		workers := workers
+		run(fmt.Sprintf("hub-emit/workers=%d", workers), func(b *testing.B) {
+			hub := telemetry.New(telemetry.Config{Store: telemetry.StoreConfig{RingCapacity: 256}})
+			names := make([]string, workers)
+			sample := func(node string, period int) telemetry.PeriodSample {
+				return telemetry.PeriodSample{
+					Node: node, Period: period, TimeS: float64(period) * 4,
+					SetpointW: 900, AvgPowerW: 895, TruePowerW: 894,
+					EnergyJ: 3580, CPUFreqGHz: 2.2,
+				}
+			}
+			for w := 0; w < workers; w++ {
+				names[w] = fmt.Sprintf("bench%02d", w)
+				hub.Period(sample(names[w], 0)) // warm node state outside the timed loop
+			}
+			per := (b.N + workers - 1) / workers
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 1; i <= per; i++ {
+						hub.Period(sample(names[w], i))
 					}
-				}
-				for w := 0; w < workers; w++ {
-					names[w] = fmt.Sprintf("bench%02d", w)
-					hub.Period(sample(names[w], 0)) // warm node state outside the timed loop
-				}
-				per := (b.N + workers - 1) / workers
-				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i := 1; i <= per; i++ {
-							hub.Period(sample(names[w], i))
-						}
-					}(w)
-				}
-				wg.Wait()
-			})
-		}
+				}(w)
+			}
+			wg.Wait()
+		})
 	}
 
 	// Run-level tracking quality at the standard 900 W / 60-period

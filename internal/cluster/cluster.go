@@ -297,18 +297,12 @@ type Coordinator struct {
 	GuardBandFrac float64
 	// Telemetry, when non-nil, receives the rack-scope lifecycle events:
 	// each reallocation round (with the reserved breaker budget as the
-	// value) and — absent NodeTelemetry — node death/recovery stamped
-	// with the bare node name. Per-node loop telemetry is attached on
-	// the node harnesses, not here.
+	// value) and, for nodes whose harness has no telemetry, node death,
+	// recovery and reservation release stamped with the bare node name.
+	// A node with harness telemetry gets those events on its own sink,
+	// labeled as its loop telemetry (see nodeEventSink). Per-node loop
+	// telemetry is attached on the node harnesses, not here.
 	Telemetry telemetry.Sink
-	// NodeTelemetry optionally carries one sink per node (index-aligned
-	// with Nodes) for the node-scoped rack events: death and recovery.
-	// Events go through it with an empty Node field, so a labeled
-	// NodeSink stamps the same label the node's harness telemetry uses
-	// and the death/recovery counters join that node's loop metrics
-	// (without it, racks that run one hub across several coordinator
-	// passes would collide on bare node names).
-	NodeTelemetry []telemetry.Sink
 	// Tracer, when non-nil, receives the causal-provenance callbacks:
 	// death/recovery spans at the roll call, reservation releases, one
 	// reallocation span per barrier (consuming whatever causes the
@@ -383,10 +377,9 @@ func NewCoordinator(nodes []*Node, policy Policy, budget func(int) float64) (*Co
 const DefaultReservationHold = 16
 
 // AddNode admits a node into the rack at the next Step, splicing fresh
-// liveness bookkeeping (and, when wired, the node's telemetry sink and
-// staging buffer) alongside the existing members. The sink may be nil
-// when the rack runs uninstrumented.
-func (c *Coordinator) AddNode(n *Node, sink telemetry.Sink) error {
+// liveness bookkeeping (and, once buffers are installed, the node's
+// telemetry staging buffer) alongside the existing members.
+func (c *Coordinator) AddNode(n *Node) error {
 	if n == nil {
 		return fmt.Errorf("cluster: AddNode: nil node")
 	}
@@ -402,12 +395,6 @@ func (c *Coordinator) AddNode(n *Node, sink telemetry.Sink) error {
 	c.haveReport = append(c.haveReport, false)
 	c.deadPrev = append(c.deadPrev, false)
 	c.resReleased = append(c.resReleased, false)
-	if c.NodeTelemetry != nil || sink != nil {
-		for len(c.NodeTelemetry) < len(c.Nodes)-1 {
-			c.NodeTelemetry = append(c.NodeTelemetry, nil)
-		}
-		c.NodeTelemetry = append(c.NodeTelemetry, sink)
-	}
 	if c.buffers != nil {
 		var b *telemetry.Buffer
 		if h := n.harness; h.Telemetry != nil {
@@ -445,9 +432,6 @@ func (c *Coordinator) RemoveNode(name string) (*Node, error) {
 	c.haveReport = append(c.haveReport[:i], c.haveReport[i+1:]...)
 	c.deadPrev = append(c.deadPrev[:i], c.deadPrev[i+1:]...)
 	c.resReleased = append(c.resReleased[:i], c.resReleased[i+1:]...)
-	if i < len(c.NodeTelemetry) {
-		c.NodeTelemetry = append(c.NodeTelemetry[:i], c.NodeTelemetry[i+1:]...)
-	}
 	if i < len(c.buffers) {
 		c.buffers = append(c.buffers[:i], c.buffers[i+1:]...)
 	}
@@ -630,12 +614,13 @@ func (c *Coordinator) workers() int {
 // installBuffers rewires each instrumented node's telemetry through an
 // ordered-replay Buffer so parallel stepping emits events and period
 // samples in node-index order at the merge barrier, byte-identical to
-// the sequential path. Phase spans pass through unbuffered (the hub
-// serializes them; the zero clock used in seeded contexts makes every
-// span 0 s, so the exposition is unchanged too). Installation is
-// one-shot and sticky: once a rack has stepped with Workers > 1, its
-// telemetry stays staged-and-flushed even if Workers later drops to 1
-// — the output bytes are the same either way.
+// the sequential path. Phase spans pass through unbuffered to the
+// node's own sink (its hub view keeps the loop's open spans; the zero
+// clock used in seeded contexts makes every span 0 s, so the
+// exposition is unchanged too). Installation is one-shot and sticky:
+// once a rack has stepped with Workers > 1, its telemetry stays
+// staged-and-flushed even if Workers later drops to 1 — the output
+// bytes are the same either way.
 func (c *Coordinator) installBuffers() {
 	if c.buffers != nil {
 		return
@@ -652,15 +637,27 @@ func (c *Coordinator) installBuffers() {
 	}
 }
 
-// emitNodeEvent reports node i's death or recovery. The per-node sink
-// is preferred when wired: the event leaves Node empty so the sink
-// stamps its own label, matching the node's harness telemetry; without
-// one, the rack sink gets the event with the bare node name.
-func (c *Coordinator) emitNodeEvent(i int, n *Node, k int, dead bool, cause string) {
-	sink, name := c.Telemetry, n.Name
-	if i < len(c.NodeTelemetry) && c.NodeTelemetry[i] != nil {
-		sink, name = c.NodeTelemetry[i], ""
+// nodeEventSink picks where node n's rack-scope events (death,
+// recovery, reservation release) go and the name they carry: the
+// node's own harness sink, unbuffered because the coordinator emits
+// them serially at the roll call, under the label its loop telemetry
+// uses — so the counters join that node's loop metrics even when one
+// hub serves several racks; without harness telemetry, the rack sink
+// with the bare node name.
+func (c *Coordinator) nodeEventSink(n *Node) (telemetry.Sink, string) {
+	h := n.harness
+	if h.Telemetry == nil {
+		return c.Telemetry, n.Name
 	}
+	if b, ok := h.Telemetry.(*telemetry.Buffer); ok {
+		return b.Inner(), h.TelemetryNode
+	}
+	return h.Telemetry, h.TelemetryNode
+}
+
+// emitNodeEvent reports node i's death or recovery.
+func (c *Coordinator) emitNodeEvent(i int, n *Node, k int, dead bool, cause string) {
+	sink, name := c.nodeEventSink(n)
 	if sink == nil {
 		return
 	}
@@ -675,13 +672,9 @@ func (c *Coordinator) emitNodeEvent(i int, n *Node, k int, dead bool, cause stri
 }
 
 // emitReservationReleased reports that node i's dead-node budget
-// reservation lapsed after the hold, preferring the per-node sink so
-// the event joins that node's loop metrics.
+// reservation lapsed after the hold.
 func (c *Coordinator) emitReservationReleased(i int, n *Node, k, hold int, cause string) {
-	sink, name := c.Telemetry, n.Name
-	if i < len(c.NodeTelemetry) && c.NodeTelemetry[i] != nil {
-		sink, name = c.NodeTelemetry[i], ""
-	}
+	sink, name := c.nodeEventSink(n)
 	if sink == nil {
 		return
 	}

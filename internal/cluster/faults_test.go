@@ -132,10 +132,10 @@ func TestCoordinatorServerDropoutRedistributes(t *testing.T) {
 }
 
 // TestCoordinatorNodeEventLabels: death/recovery events go through the
-// per-node sinks when wired, so they carry the same label the node's
-// harness telemetry uses ("<policy>/<node>" in the rack rig) and the
-// death/recovery counters join that node's loop metrics; without
-// per-node sinks, the rack sink gets the bare node name.
+// node's harness sink when it has one, so they carry the label the
+// node's harness telemetry uses ("<policy>/<node>" in the rack rig) and
+// the death/recovery counters join that node's loop metrics; without
+// harness telemetry, the rack sink gets the bare node name.
 func TestCoordinatorNodeEventLabels(t *testing.T) {
 	run := func(wire func(co *Coordinator, hub *telemetry.Hub)) (*telemetry.Hub, []telemetry.Event) {
 		nodes := []*Node{cheapNode(t, "a", 321), cheapNode(t, "b", 322)}
@@ -164,8 +164,8 @@ func TestCoordinatorNodeEventLabels(t *testing.T) {
 
 	hub, labeled := run(func(co *Coordinator, hub *telemetry.Hub) {
 		co.Telemetry = hub.NodeSink("uniform")
-		co.NodeTelemetry = []telemetry.Sink{
-			hub.NodeSink("uniform/a"), hub.NodeSink("uniform/b"),
+		for _, n := range co.Nodes {
+			n.Harness().SetTelemetry(hub, "uniform/"+n.Name)
 		}
 	})
 	if len(labeled) != 2 {

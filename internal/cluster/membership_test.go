@@ -57,9 +57,10 @@ func TestNodeCapCeiling(t *testing.T) {
 }
 
 // TestMembershipChurn exercises AddNode/RemoveNode against a live rack,
-// including the telemetry-sink and staging-buffer splices used by the
-// control-plane daemon, on a coordinator built as a struct literal (so
-// ensureState must size all the liveness bookkeeping itself).
+// including the staging-buffer splice used by the control-plane daemon
+// and node events routed through a joiner's own harness sink, on a
+// coordinator built as a struct literal (so ensureState must size all
+// the liveness bookkeeping itself).
 func TestMembershipChurn(t *testing.T) {
 	a := buildNode(t, "a", 11, 2, 0)
 	b := buildNode(t, "b", 22, 2, 0)
@@ -76,25 +77,21 @@ func TestMembershipChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := c.AddNode(nil, nil); err == nil {
+	if err := c.AddNode(nil); err == nil {
 		t.Fatal("expected nil-node error")
 	}
 	dup := buildNode(t, "a", 33, 2, 0)
-	if err := c.AddNode(dup, nil); err == nil || !strings.Contains(err.Error(), "already a member") {
+	if err := c.AddNode(dup); err == nil || !strings.Contains(err.Error(), "already a member") {
 		t.Fatalf("duplicate add: %v", err)
 	}
 
 	d := buildNode(t, "d", 44, 2, 0)
-	d.Harness().SetTelemetry(sink, "d")
-	if err := c.AddNode(d, telemetry.NopSink{}); err != nil {
+	d.Harness().SetTelemetry(sink, "rack/d")
+	if err := c.AddNode(d); err != nil {
 		t.Fatal(err)
 	}
 	if len(c.Nodes) != 3 || len(c.Liveness()) != 3 {
 		t.Fatalf("after add: %d nodes, %d liveness slots", len(c.Nodes), len(c.Liveness()))
-	}
-	// Sinks for the incumbents must be padded so indices stay aligned.
-	if len(c.NodeTelemetry) != 3 || c.NodeTelemetry[0] != nil || c.NodeTelemetry[2] == nil {
-		t.Fatalf("NodeTelemetry splice misaligned: %v", c.NodeTelemetry)
 	}
 	if len(c.buffers) != 3 || c.buffers[2] == nil {
 		t.Fatalf("instrumented joiner did not get a staging buffer")
@@ -116,12 +113,34 @@ func TestMembershipChurn(t *testing.T) {
 	if removed.Name != "b" || len(removed.Records()) != 8 {
 		t.Fatalf("removed %q with %d records, want b with 8", removed.Name, len(removed.Records()))
 	}
-	if len(c.Nodes) != 2 || len(c.buffers) != 2 || len(c.NodeTelemetry) != 2 {
-		t.Fatalf("bookkeeping not spliced: nodes=%d buffers=%d sinks=%d",
-			len(c.Nodes), len(c.buffers), len(c.NodeTelemetry))
+	if len(c.Nodes) != 2 || len(c.buffers) != 2 {
+		t.Fatalf("bookkeeping not spliced: nodes=%d buffers=%d", len(c.Nodes), len(c.buffers))
 	}
+	// Silence the joiner: its death event goes through its own harness
+	// sink, past the staging buffer, under its harness label.
+	c.Silenced = func(_ int, name string) bool { return name == "d" }
+	before := len(sink.events)
 	if err := c.Run(2); err != nil {
 		t.Fatal(err)
+	}
+	death := -1
+	for i, e := range sink.events[before:] {
+		if e.Type == telemetry.EventNodeDead {
+			if death >= 0 || e.Node != "rack/d" {
+				t.Fatalf("unexpected death event %+v, want one labeled %q", e, "rack/d")
+			}
+			death = before + i
+		}
+	}
+	if death < 0 {
+		t.Fatal("joiner death not reported")
+	}
+	// Unbuffered: the roll call's event precedes the period's flushed
+	// loop telemetry, including the incumbent's (flushed before d's).
+	for _, e := range sink.events[before:death] {
+		if e.Node == "a" && e.Period == sink.events[death].Period {
+			t.Fatalf("death event went through the staging buffer: %+v flushed before it", e)
+		}
 	}
 
 	if _, err := c.RemoveNode("d"); err != nil {

@@ -59,11 +59,6 @@ func parallelRack(t *testing.T, seed int64, workers int, jsonl io.Writer) (*Coor
 	c.Faults = sched
 	c.Workers = workers
 	c.Telemetry = hub.NodeSink("rack")
-	sinks := make([]telemetry.Sink, len(nodes))
-	for i, n := range nodes {
-		sinks[i] = hub.NodeSink(n.Name)
-	}
-	c.NodeTelemetry = sinks
 	return c, hub
 }
 

@@ -273,11 +273,6 @@ func New(spec Spec, deps Deps) (*Daemon, error) {
 			deps.Hub.SetEnergyWeights(spec.Energy.CarbonCurve(), spec.Energy.PriceCurve())
 		}
 		deps.Hub.SetRackBudget(d.budgetW)
-		sinks := make([]telemetry.Sink, len(nodes))
-		for i, n := range nodes {
-			sinks[i] = deps.Hub.NodeSink(n.Name)
-		}
-		coord.NodeTelemetry = sinks
 	}
 	if deps.Tracer != nil {
 		// Guarded assignment: a nil *provenance.Tracer stored into the
@@ -348,7 +343,7 @@ func (d *Daemon) buildNode(class string) (*cluster.Node, *member, error) {
 	node.Harness().WorkloadClass = class
 	node.Harness().PolicyEpoch = d.epoch
 	if d.deps.Hub != nil {
-		node.Harness().SetTelemetry(d.deps.Hub.NodeSink(name), name)
+		node.Harness().SetTelemetry(d.deps.Hub, name)
 	}
 	if d.deps.FlightWriter != nil {
 		w, err := d.deps.FlightWriter(name)
@@ -698,11 +693,7 @@ func (d *Daemon) tryApply(op Op, k int) (applied bool, reason string, err error)
 		if headroom := d.budgetW - d.coord.ReservedW(); floors > headroom {
 			return false, fmt.Sprintf("admission: member floors %.0f W exceed budget headroom %.0f W", floors, headroom), nil
 		}
-		var sink telemetry.Sink
-		if d.deps.Hub != nil {
-			sink = d.deps.Hub.NodeSink(node.Name)
-		}
-		if err := d.coord.AddNode(node, sink); err != nil {
+		if err := d.coord.AddNode(node); err != nil {
 			return false, "", err
 		}
 		d.serial++
@@ -710,8 +701,8 @@ func (d *Daemon) tryApply(op Op, k int) (applied bool, reason string, err error)
 		if m.rec != nil {
 			m.rec.SetEpoch(d.epoch)
 		}
-		if sink != nil {
-			sink.Emit(telemetry.Event{
+		if d.deps.Hub != nil {
+			d.deps.Hub.NodeSink(node.Name).Emit(telemetry.Event{
 				TimeS: node.Server.Now(), Period: k, Type: telemetry.EventNodeJoined,
 				Device: -1, Value: newMin, Detail: "class=" + m.class, Cause: d.curOpID,
 			})

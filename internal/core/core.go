@@ -936,8 +936,13 @@ func NewHarness(s *sim.Server, ctrl PowerController, setpoint func(int) float64)
 
 // SetTelemetry attaches a telemetry sink to the harness, its actuator
 // bank, and — when the controller implements TelemetryAware — the
-// controller, labeling everything with the given node name.
+// controller, labeling everything with the given node name. Handed the
+// bare hub, the harness binds its own node view (Hub.NodeSink), so the
+// node name is given once and the loop's phase spans are its own.
 func (h *Harness) SetTelemetry(sink telemetry.Sink, node string) {
+	if hub, ok := sink.(*telemetry.Hub); ok && hub != nil {
+		sink = hub.NodeSink(node)
+	}
 	h.Telemetry = sink
 	h.TelemetryNode = node
 	if h.Bank != nil {

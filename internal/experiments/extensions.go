@@ -365,10 +365,7 @@ func ExtensionClusterOpts(seed int64, periods int, budgetW float64, opts Cluster
 				return nil, err
 			}
 			if opts.Telemetry != nil {
-				// A per-node sink (not the bare hub) so concurrent phase
-				// spans from parallel node stepping key by node.
-				label := pol.Name() + "/" + spec.name
-				n.Harness().SetTelemetry(opts.Telemetry.NodeSink(label), label)
+				n.Harness().SetTelemetry(opts.Telemetry, pol.Name()+"/"+spec.name)
 			}
 			if opts.Flight != nil {
 				if rec := opts.Flight(pol.Name() + "/" + spec.name); rec != nil {
@@ -385,11 +382,6 @@ func ExtensionClusterOpts(seed int64, periods int, budgetW float64, opts Cluster
 		coord.Workers = opts.Workers
 		if opts.Telemetry != nil {
 			coord.Telemetry = opts.Telemetry.NodeSink(pol.Name())
-			sinks := make([]telemetry.Sink, len(nodes))
-			for i, n := range nodes {
-				sinks[i] = opts.Telemetry.NodeSink(pol.Name() + "/" + n.Name)
-			}
-			coord.NodeTelemetry = sinks
 		}
 		if err := coord.Run(periods); err != nil {
 			return nil, fmt.Errorf("experiments: cluster %s: %w", pol.Name(), err)

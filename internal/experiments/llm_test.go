@@ -312,7 +312,7 @@ func llmRackArtifacts(t *testing.T, workers int) (csv, events, flightLog, prom [
 }
 
 // TestLLMParallelGoldenEquivalence extends the Workers=1 vs Workers=8
-// byte-identity contract to the LLM fleet: sharded stepping must not
+// byte-identity contract to the LLM fleet: parallel stepping must not
 // perturb the serving pipelines' seeded streams.
 func TestLLMParallelGoldenEquivalence(t *testing.T) {
 	if testing.Short() {

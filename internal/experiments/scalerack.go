@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/sysid"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -198,9 +197,7 @@ func NewScaleCoordinator(seed int64, n int, policy cluster.Policy, budgetW float
 			node.SetFaults(opts.Faults)
 		}
 		if opts.Telemetry != nil {
-			// Per-node sink, not the bare hub: phase spans from
-			// parallel node stepping must key by node.
-			node.Harness().SetTelemetry(opts.Telemetry.NodeSink(label), label)
+			node.Harness().SetTelemetry(opts.Telemetry, label)
 		}
 		if opts.Flight != nil {
 			if rec := opts.Flight(label); rec != nil {
@@ -216,11 +213,6 @@ func NewScaleCoordinator(seed int64, n int, policy cluster.Policy, budgetW float
 	coord.Workers = opts.Workers
 	if opts.Telemetry != nil {
 		coord.Telemetry = opts.Telemetry.NodeSink(policy.Name())
-		sinks := make([]telemetry.Sink, len(nodes))
-		for i, node := range nodes {
-			sinks[i] = opts.Telemetry.NodeSink(policy.Name() + "/" + node.Name)
-		}
-		coord.NodeTelemetry = sinks
 	}
 	return coord, nil
 }

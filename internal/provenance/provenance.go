@@ -15,7 +15,7 @@
 // two pending queues: records minted on the coordinator goroutine
 // (deaths, reallocations, cap changes, settlement closes) accumulate
 // separately from records minted inside telemetry's alert engine
-// (whose hook fires under the hub shard lock at positions that differ
+// (whose hook fires under the hub node-state lock at positions that differ
 // between sequential and buffered stepping), and EndStep flushes the
 // coordinator queue first — the JSONL bytes come out identical at any
 // worker count because each queue's internal order is already
@@ -144,7 +144,7 @@ type nodeObs struct {
 
 // Tracer mints and closes spans. One goroutine (the coordinator's)
 // drives every method except OnAlertEvent, which the telemetry hub's
-// alert engine calls under its shard lock; the mutex makes the two
+// alert engine calls under its node-state lock; the mutex makes the two
 // safe together and lets HTTP handlers read span trees mid-run.
 type Tracer struct {
 	mu sync.Mutex
@@ -498,7 +498,7 @@ func (t *Tracer) ObserveNode(node string, k int, trueW float64, failSafe, degrad
 }
 
 // OnAlertEvent is the telemetry alert hook: firing opens an alert
-// span, resolved closes it. It runs under the hub's shard lock at
+// span, resolved closes it. It runs under the hub's node-state lock at
 // positions that vary with the worker count, so its lines go on the
 // alert queue — flushed after the coordinator queue at each barrier.
 func (t *Tracer) OnAlertEvent(rule, node string, k int, value float64, firing bool) {

@@ -6,7 +6,7 @@ import "sync"
 // period-sample stream, evaluated at period barriers, so a seeded run
 // fires byte-identical alert events at any worker count (samples reach
 // the hub in replayed node order; per-node rule state lives in the
-// node's shard). Alerts are lifecycle events: alert-firing opens,
+// hub's node state). Alerts are lifecycle events: alert-firing opens,
 // alert-resolved closes, Detail carries the rule name, and Hub.Finish
 // resolves anything still firing so CheckBalance holds across the pair.
 //
@@ -67,7 +67,7 @@ type AlertConfig struct {
 	BudgetSustain int
 	// Hook, when set, observes every alert lifecycle event the engine
 	// emits, right after the event enters the hub — the provenance
-	// tracer's attachment point. It runs under the emitting shard's
+	// tracer's attachment point. It runs under the hub's node-state
 	// lock (or the rack accumulator's), so it must be fast and must not
 	// call back into the hub.
 	Hook func(e Event)
@@ -114,8 +114,7 @@ func (c AlertConfig) resolve(hubSlack float64) AlertConfig {
 	return c
 }
 
-// nodeAlertState is one node's rule state, guarded by the node's shard
-// lock.
+// nodeAlertState is one node's rule state, guarded by Hub.mu.
 type nodeAlertState struct {
 	sloWindow []float64 // per-period miss fractions, circular by period index
 	sloSeen   int       // samples folded so far (window warms up)
@@ -142,8 +141,8 @@ type rackAlertState struct {
 	firing    bool
 }
 
-// alertEngine evaluates the rules. Per-node state lives in the hub
-// shards; only the rack accumulator is engine-owned.
+// alertEngine evaluates the rules. Per-node state lives in the hub's
+// node state; only the rack accumulator is engine-owned.
 type alertEngine struct {
 	cfg  AlertConfig
 	rack rackAlertState
@@ -181,8 +180,8 @@ func (h *Hub) SetRackBudget(w float64) {
 // AlertsEnabled reports whether the hub runs the alert engine.
 func (h *Hub) AlertsEnabled() bool { return h.alerts != nil }
 
-// onPeriod evaluates every rule against one sample. Callers hold the
-// node's shard lock; rules run in a fixed order so the event stream is
+// onPeriod evaluates every rule against one sample. Callers hold
+// Hub.mu; rules run in a fixed order so the event stream is
 // deterministic.
 //
 //capgpu:hotpath
@@ -296,7 +295,7 @@ func (e *alertEngine) finalizeRackLocked(h *Hub) {
 }
 
 // finishNode resolves any per-node rule still firing at end of run.
-// Callers hold the node's shard lock.
+// Callers hold Hub.mu.
 func (e *alertEngine) finishNode(h *Hub, st *nodeState, node string) {
 	a := st.alerts
 	if a == nil {

@@ -10,7 +10,8 @@ package telemetry
 //
 // BeginPhase/EndPhase pass straight through: phase spans are timed at
 // call time (buffering them would charge the queue wait to the phase),
-// the hub serializes them internally, and the per-phase duration
+// the inner sink is the producer's own node view (Hub.NodeSink), whose
+// open spans no other loop can touch, and the per-phase duration
 // histogram is commutative across nodes — in seeded contexts the zero
 // clock makes every span 0 s, so the exposition stays byte-identical.
 //

@@ -26,16 +26,9 @@ var (
 	}
 )
 
-// DefaultShards is the hub shard count when Config.Shards is zero: wide
-// enough that a rack's worth of concurrently-stepping nodes rarely
-// collide on one shard lock, small enough that merge-at-scrape stays
-// trivial.
-const DefaultShards = 8
-
 // Config tunes a Hub. The zero value is a fully deterministic,
 // in-memory hub: zero clock, default ring capacity, 1% violation slack,
-// DefaultShards node-state shards, a bounded time-series store, no
-// alerting.
+// a bounded time-series store, no alerting.
 type Config struct {
 	// Clock measures phase spans. nil means the zero clock (all spans
 	// report zero duration) — the deterministic default for seeded runs.
@@ -55,14 +48,6 @@ type Config struct {
 	// TrueSlackFrac is the slack for breaker-side (true power)
 	// violations (default 0.02, matching the robustness tables).
 	TrueSlackFrac float64
-	// Shards is the number of node-hash shards the per-node state
-	// (transition diffing, phase spans, time-series rings, ledger cells,
-	// alert state) is split across. 0 means DefaultShards; 1 is the
-	// single-lock baseline the contention benchmark compares against.
-	// Sharding never changes observable bytes: the event stream keeps
-	// one globally-ordered ring/JSONL writer, and the registry merges
-	// at scrape with a global sort.
-	Shards int
 	// Store tunes the embedded multi-resolution time-series store. The
 	// zero value enables it with default capacities; set Disable to
 	// drop per-period series retention entirely.
@@ -76,9 +61,8 @@ type Config struct {
 
 // nodeState tracks one node's last-seen flags so the Hub can synthesize
 // enter/exit transition events by diffing successive period samples. It
-// also anchors the node's shard-local observability state: time-series
-// rings, energy-ledger cells, and alert rule state, all guarded by the
-// owning shard's lock.
+// also anchors the node's observability state: time-series rings,
+// energy-ledger cells, and alert rule state, all guarded by Hub.mu.
 type nodeState struct {
 	degraded  bool
 	failSafe  bool
@@ -121,7 +105,7 @@ type nodeMetrics struct {
 }
 
 // nodeMetricsFor returns (building or extending if needed) the node's
-// cached handles. Callers hold the shard lock, so the cache itself
+// cached handles. Callers hold Hub.mu, so the cache itself
 // needs no synchronization; the registry fetches inside are their own
 // critical sections.
 func (h *Hub) nodeMetricsFor(st *nodeState, s PeriodSample) *nodeMetrics {
@@ -153,24 +137,11 @@ func (h *Hub) nodeMetricsFor(st *nodeState, s PeriodSample) *nodeMetrics {
 	return m
 }
 
-// hubShard owns the per-node state for the nodes that hash to it. The
-// shard lock is held for the whole of one node's Period processing, so
-// two nodes on different shards fold their samples concurrently; the
-// globally-ordered channels (event ring, JSONL) serialize only on the
-// much shorter stream lock.
-type hubShard struct {
-	mu sync.Mutex //lint:lockorder before:eventStream.mu
-	// nodes is keyed by node name; phaseStart by "node\x00phase".
-	nodes      map[string]*nodeState
-	phaseStart map[string]float64
-}
-
 // eventStream is the globally-ordered event channel: the bounded ring
-// behind /events and the complete JSONL stream. Ordering is preserved
-// across the sharded hub because deterministic contexts replay
-// emissions serially (telemetry.Buffer at the coordinator barrier);
-// live concurrent emission interleaves here exactly as it did under the
-// old hub-wide mutex.
+// behind /events and the complete JSONL stream. Deterministic contexts
+// replay emissions serially (telemetry.Buffer at the coordinator
+// barrier), so the order is fixed there; live concurrent emission
+// interleaves in lock-acquisition order.
 type eventStream struct {
 	mu    sync.Mutex
 	jsonl io.Writer
@@ -194,12 +165,12 @@ func (st *eventStream) Err() error {
 
 // Hub is the standard Sink: it owns the metrics registry, the event
 // ring, the optional JSONL stream, and the per-node transition state,
-// time-series store, energy ledger, and alert engine. Per-node state is
-// sharded by node-name hash; the event ring and JSONL stream stay
-// globally ordered behind one short-critical-section lock; the registry
-// merges at scrape (its exposition sorts globally, so shard count never
-// changes bytes). All methods lock, so the interleaved loops of a rack
-// can share one hub through per-node views (NodeSink).
+// time-series store, energy ledger, and alert engine. Per-node state
+// sits behind one mutex; the event ring and JSONL stream stay globally
+// ordered behind a second, shorter one; the registry's series values
+// are lock-free atomics behind cached handles. All methods lock, so the
+// interleaved loops of a rack can share one hub, each through its own
+// node view (NodeSink).
 type Hub struct {
 	reg   *Registry
 	clock Clock
@@ -207,7 +178,11 @@ type Hub struct {
 	slackFrac     float64
 	trueSlackFrac float64
 
-	shards []*hubShard
+	// mu guards the per-node state (nodes) and the hub's own unlabeled
+	// phase spans (self.open).
+	mu     sync.Mutex //lint:lockorder before:eventStream.mu
+	nodes  map[string]*nodeState
+	self   nodeSink
 	stream eventStream
 
 	store  storeSettings
@@ -240,59 +215,32 @@ func New(cfg Config) *Hub {
 	if trueSlack == 0 {
 		trueSlack = 0.02
 	}
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = DefaultShards
-	}
 	h := &Hub{
 		reg:           NewRegistry(),
 		clock:         clock,
 		slackFrac:     slack,
 		trueSlackFrac: trueSlack,
-		shards:        make([]*hubShard, nshards),
+		nodes:         make(map[string]*nodeState),
 		store:         cfg.Store.resolve(),
 		ledger:        newLedger(),
 	}
 	h.stream.jsonl = cfg.JSONL
 	h.stream.cap = capacity
+	h.self.hub = h
 	h.evCounters = make(map[EventType]*series)
-	for i := range h.shards {
-		h.shards[i] = &hubShard{
-			nodes:      make(map[string]*nodeState),
-			phaseStart: make(map[string]float64),
-		}
-	}
 	if cfg.Alerts != nil {
 		h.alerts = newAlertEngine(*cfg.Alerts, slack)
 	}
 	return h
 }
 
-// shardFor hashes a node name onto its shard (FNV-1a, the repo's
-// stateless-hash idiom — stable across runs and platforms).
-func (h *Hub) shardFor(node string) *hubShard {
-	if len(h.shards) == 1 {
-		return h.shards[0]
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	hash := uint64(offset64)
-	for i := 0; i < len(node); i++ {
-		hash ^= uint64(node[i])
-		hash *= prime64
-	}
-	return h.shards[hash%uint64(len(h.shards))]
-}
-
-// state returns (creating if needed) the node's state. Callers hold the
-// shard lock.
-func (sh *hubShard) state(node string) *nodeState {
-	st, ok := sh.nodes[node]
+// state returns (creating if needed) the node's state. Callers hold
+// h.mu.
+func (h *Hub) state(node string) *nodeState {
+	st, ok := h.nodes[node]
 	if !ok {
 		st = &nodeState{}
-		sh.nodes[node] = st
+		h.nodes[node] = st
 	}
 	return st
 }
@@ -338,7 +286,9 @@ func (h *Hub) EventsSnapshot() ([]Event, int) {
 }
 
 // NodeSink returns a view of the hub that stamps the given node name
-// onto events and samples that do not already carry one.
+// onto events and samples that do not already carry one, and times its
+// own phase spans. A view belongs to one control loop; core.Harness
+// binds one from its node name when handed the bare hub.
 func (h *Hub) NodeSink(node string) Sink {
 	return &nodeSink{hub: h, node: node}
 }
@@ -346,6 +296,9 @@ func (h *Hub) NodeSink(node string) Sink {
 type nodeSink struct {
 	hub  *Hub
 	node string
+	// open holds the view's open phase spans by phase name, so two
+	// loops timing the same phase never share a span.
+	open map[string]float64
 }
 
 func (n *nodeSink) Emit(e Event) {
@@ -362,12 +315,27 @@ func (n *nodeSink) Period(s PeriodSample) {
 	n.hub.Period(s)
 }
 
-func (n *nodeSink) BeginPhase(period int, phase string) {
-	n.hub.beginPhase(n.node, period, phase)
+func (n *nodeSink) BeginPhase(_ int, phase string) {
+	now := n.hub.clock()
+	if n.open == nil {
+		n.open = make(map[string]float64)
+	}
+	n.open[phase] = now
 }
 
-func (n *nodeSink) EndPhase(period int, phase string) {
-	n.hub.endPhase(n.node, period, phase)
+func (n *nodeSink) EndPhase(_ int, phase string) {
+	now := n.hub.clock()
+	start, ok := n.open[phase]
+	if !ok {
+		return // EndPhase without BeginPhase: ignore
+	}
+	delete(n.open, phase)
+	d := now - start
+	if d < 0 {
+		d = 0
+	}
+	n.hub.histObserve("capgpu_phase_duration_seconds", "Control-period phase durations (sense, condense, decide, actuate, verify).",
+		DefPhaseBuckets, L("phase", phase), d)
 }
 
 // Emit implements Sink: the event is logged (ring + JSONL) and folded
@@ -509,11 +477,10 @@ func (h *Hub) count(name, help string, labels Labels) {
 //
 //capgpu:hotpath
 func (h *Hub) Period(s PeriodSample) {
-	sh := h.shardFor(s.Node)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	h.mu.Lock()
+	defer h.mu.Unlock()
 
-	st := sh.state(s.Node)
+	st := h.state(s.Node)
 
 	// Derived lifecycle events, in a fixed order so the JSONL stream is
 	// deterministic: violations, SLO misses, fault diffs, degradation
@@ -545,7 +512,7 @@ func (h *Hub) Period(s PeriodSample) {
 
 	// Registry updates, all through the node's cached handles: pure
 	// atomic adds/stores (or a per-series histogram lock), so concurrent
-	// shards never serialize on label rendering or registry maps.
+	// loops never serialize on label rendering or registry maps.
 	m := h.nodeMetricsFor(st, s)
 	m.periods.add(1)
 	if s.Degraded {
@@ -617,7 +584,7 @@ func (h *Hub) Period(s PeriodSample) {
 	}
 
 	// Observability v2: bounded time-series retention, Wh attribution,
-	// and the online alert rules — all shard-local state.
+	// and the online alert rules — all per-node state.
 	h.store.record(st, s, h.slackFrac)
 	h.ledger.record(h, st, s)
 	if h.alerts != nil {
@@ -674,49 +641,28 @@ func (h *Hub) histObserve(name, help string, buckets []float64, labels Labels, v
 	h.reg.observe(name, help, buckets, labels, v)
 }
 
-// BeginPhase implements Sink (hub-level, unlabeled node).
-func (h *Hub) BeginPhase(period int, phase string) { h.beginPhase("", period, phase) }
+// BeginPhase implements Sink with the hub's own unlabeled spans. A
+// node's loop times its spans on its view (NodeSink) instead.
+func (h *Hub) BeginPhase(period int, phase string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.self.BeginPhase(period, phase)
+}
 
 // EndPhase implements Sink.
-func (h *Hub) EndPhase(period int, phase string) { h.endPhase("", period, phase) }
-
-func (h *Hub) beginPhase(node string, _ int, phase string) {
-	now := h.clock()
-	sh := h.shardFor(node)
-	sh.mu.Lock()
-	sh.phaseStart[node+"\x00"+phase] = now
-	sh.mu.Unlock()
+func (h *Hub) EndPhase(period int, phase string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.self.EndPhase(period, phase)
 }
 
-func (h *Hub) endPhase(node string, _ int, phase string) {
-	now := h.clock()
-	sh := h.shardFor(node)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	key := node + "\x00" + phase
-	start, ok := sh.phaseStart[key]
-	if !ok {
-		return // EndPhase without BeginPhase: ignore
-	}
-	delete(sh.phaseStart, key)
-	d := now - start
-	if d < 0 {
-		d = 0
-	}
-	h.histObserve("capgpu_phase_duration_seconds", "Control-period phase durations (sense, condense, decide, actuate, verify).",
-		DefPhaseBuckets, L("phase", phase), d)
-}
-
-// nodeNames returns every node name seen by any shard, sorted.
+// nodeNames returns every node name the hub has seen, sorted. Callers
+// hold h.mu.
 func (h *Hub) nodeNames() []string {
-	var names []string
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		for name := range sh.nodes {
-			//lint:ignore determinism names are sorted by the caller; output order does not depend on map order
-			names = append(names, name)
-		}
-		sh.mu.Unlock()
+	names := make([]string, 0, len(h.nodes))
+	for name := range h.nodes {
+		//lint:ignore determinism names are sorted below; output order does not depend on map order
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
@@ -729,10 +675,9 @@ func (h *Hub) nodeNames() []string {
 // mid-fault; a final run-end event carries the lifetime event count.
 // Finish reports the first JSONL write error.
 func (h *Hub) Finish() error {
+	h.mu.Lock()
 	for _, name := range h.nodeNames() {
-		sh := h.shardFor(name)
-		sh.mu.Lock()
-		st := sh.nodes[name]
+		st := h.nodes[name]
 		last := st.lastSeen
 		if st.degraded {
 			h.Emit(Event{TimeS: last.TimeS, Period: last.Period, Type: EventDegradedExit,
@@ -752,8 +697,8 @@ func (h *Hub) Finish() error {
 		if h.alerts != nil {
 			h.alerts.finishNode(h, st, name)
 		}
-		sh.mu.Unlock()
 	}
+	h.mu.Unlock()
 	if h.alerts != nil {
 		h.alerts.finishRack(h)
 	}

@@ -11,7 +11,7 @@ import (
 // attributed to a (node, workload class, controller state, policy
 // epoch) cell; optional carbon and price weight curves — fed from the
 // daemon schedule — convert the same energy into grams of CO2 and cost
-// units as it accrues. Per-node cells live inside the hub shards (no
+// units as it accrues. Per-node cells live in the hub's node state (no
 // extra locks on the period path); the Ledger itself only holds the
 // weight curves and merges cells at read time into the end-of-run
 // attribution table and the capgpu_energy_* metrics.
@@ -43,11 +43,10 @@ type ledgerKey struct {
 	epoch int
 }
 
-// ledgerCell accumulates one cell. Guarded by the owning node's shard
-// lock. The cached series handles keep the per-period metric updates
-// allocation-free; cells differing only in epoch share the same
-// underlying series (the metrics drop the epoch dimension to bound
-// label cardinality).
+// ledgerCell accumulates one cell. Guarded by Hub.mu. The cached
+// series handles keep the per-period metric updates allocation-free;
+// cells differing only in epoch share the same underlying series (the
+// metrics drop the epoch dimension to bound label cardinality).
 type ledgerCell struct {
 	periods int
 	energyJ float64
@@ -60,7 +59,7 @@ type ledgerCell struct {
 }
 
 // Ledger holds the weight curves and reads the per-node cells back out
-// of the hub shards.
+// of the hub's node state.
 type Ledger struct {
 	mu     sync.RWMutex
 	carbon WeightCurve
@@ -100,7 +99,7 @@ func energyState(s PeriodSample) string {
 }
 
 // record folds one sample into the node's attribution cell and the
-// capgpu_energy_* metrics. Callers hold the node's shard lock.
+// capgpu_energy_* metrics. Callers hold Hub.mu.
 func (l *Ledger) record(h *Hub, st *nodeState, s PeriodSample) {
 	class := s.Class
 	if class == "" {
@@ -164,20 +163,18 @@ type LedgerRow struct {
 // (node, class, epoch, state).
 func (h *Hub) LedgerTable() []LedgerRow {
 	var rows []LedgerRow
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		for node, st := range sh.nodes {
-			for key, cell := range st.ledger {
-				//lint:ignore determinism rows are sorted below; output order does not depend on map order
-				rows = append(rows, LedgerRow{
-					Node: node, Class: key.class, State: key.state, Epoch: key.epoch,
-					Periods: cell.periods, Wh: cell.energyJ / 3600,
-					CarbonG: cell.carbonG, CostU: cell.costU,
-				})
-			}
+	h.mu.Lock()
+	for node, st := range h.nodes {
+		for key, cell := range st.ledger {
+			//lint:ignore determinism rows are sorted below; output order does not depend on map order
+			rows = append(rows, LedgerRow{
+				Node: node, Class: key.class, State: key.state, Epoch: key.epoch,
+				Periods: cell.periods, Wh: cell.energyJ / 3600,
+				CarbonG: cell.carbonG, CostU: cell.costU,
+			})
 		}
-		sh.mu.Unlock()
 	}
+	h.mu.Unlock()
 	sort.Slice(rows, func(i, j int) bool {
 		a, b := rows[i], rows[j]
 		if a.Node != b.Node {

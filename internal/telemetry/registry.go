@@ -84,8 +84,8 @@ func formatValue(v float64) string {
 // series is one labeled sample stream inside a family. Counter and
 // gauge state lives in bits (the float64 image of the value) so the hot
 // emit path can mutate it with atomics under the registry's shared read
-// lock — the lock-free fast path the sharded hub's contention win rests
-// on. Byte-stable exposition is preserved: in deterministic contexts
+// lock — the lock-free fast path that keeps the hub's per-period
+// emit allocation-free. Byte-stable exposition is preserved: in deterministic contexts
 // every series is written by one ordered replay stream, so the atomic
 // adds happen in the same order a mutex would impose.
 type series struct {
@@ -193,7 +193,7 @@ func (r *Registry) fetch(name, help, kind string, labels Labels) *series {
 }
 
 // The Hub drives its derived metrics through the mutators below. Lock
-// order is always a hub shard lock → Registry.mu (→ histState.mu); the
+// order is always Hub.mu → Registry.mu (→ histState.mu); the
 // Registry never calls back into the Hub.
 
 // counterAdd bumps a counter series, registering it on first use.

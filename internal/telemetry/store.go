@@ -16,8 +16,8 @@ import (
 // ring and tier capacities regardless of run length, so a day-long soak
 // can be analyzed from the store instead of an O(periods) JSONL stream.
 //
-// All store state lives inside the owning node's hub shard and is
-// guarded by the shard lock — the store adds no locks of its own.
+// All store state lives in the node's hub state and is guarded by
+// Hub.mu — the store adds no locks of its own.
 
 // Store field names — the series retained per node.
 const (
@@ -208,7 +208,7 @@ func (ss *seriesStore) push(p Point) {
 }
 
 // record folds one period sample into the node's series. Callers hold
-// the node's shard lock.
+// Hub.mu.
 func (cfg storeSettings) record(st *nodeState, s PeriodSample, slackFrac float64) {
 	if cfg.disabled {
 		return
@@ -265,16 +265,14 @@ type QueryResult struct {
 
 // StoreNodes returns every node with retained series, sorted.
 func (h *Hub) StoreNodes() []string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	var names []string
-	for _, sh := range h.shards {
-		sh.mu.Lock()
-		for name, st := range sh.nodes {
-			if st.series != nil {
-				//lint:ignore determinism names are sorted by the caller below; output order does not depend on map order
-				names = append(names, name)
-			}
+	for name, st := range h.nodes {
+		if st.series != nil {
+			//lint:ignore determinism names are sorted below; output order does not depend on map order
+			names = append(names, name)
 		}
-		sh.mu.Unlock()
 	}
 	sort.Strings(names)
 	return names
@@ -292,10 +290,9 @@ func (h *Hub) Query(q QueryRequest) (QueryResult, error) {
 	if q.Res != 1 && q.Res != TierFactor10 && q.Res != TierFactor100 {
 		return res, fmt.Errorf("telemetry: unsupported resolution %d (want 1, %d, or %d)", q.Res, TierFactor10, TierFactor100)
 	}
-	sh := h.shardFor(q.Node)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.nodes[q.Node]
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	st, ok := h.nodes[q.Node]
 	if !ok || st.series == nil {
 		return res, fmt.Errorf("telemetry: no series for node %q", q.Node)
 	}

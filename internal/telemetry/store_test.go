@@ -36,7 +36,7 @@ func TestStorePropertyDownsampleExact(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		periods := 150 + rng.Intn(400) // spans several 100× buckets
-		hub := New(Config{Shards: 1 + rng.Intn(4)})
+		hub := New(Config{})
 		for k := 0; k < periods; k++ {
 			hub.Period(storeSample("n0", k, 700+300*rng.Float64(), rng.Intn(7) == 0, rng.Intn(5) == 0))
 		}

@@ -134,7 +134,7 @@ type PeriodSample struct {
 // means telemetry is disabled; call sites guard with one nil check.
 // Implementations must be safe for sequential use from a single control
 // loop; the Hub additionally locks so interleaved loops (a rack of
-// nodes) can share one sink.
+// nodes) can share one hub, each through its own node view (NodeSink).
 type Sink interface {
 	// Emit records one lifecycle event.
 	Emit(e Event)
