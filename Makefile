@@ -8,7 +8,8 @@ GO ?= go
 # internal/lint holds the contract analyzers and their fixture suites;
 # internal/telemetry holds the hub, time-series store, energy
 # ledger, and alert-engine suites; internal/provenance holds the
-# causal tracer and the capgpu-trace explain/attribution engine;
+# causal tracer and the explain/attribution/verify engine behind
+# capgpu-doctor -trace;
 # internal/workload holds the CNN pipelines and the LLM serving family
 # (continuous batching, phase power law, spec parser + fuzz corpus).
 # A drop below a floor means proof rotted out. Raise a floor when
@@ -85,19 +86,36 @@ doctor-verify:
 	@echo "doctor-verify: ok"
 
 # End-to-end provenance acceptance: a golden daemon run with churn and
-# hot reconfigs on every op kind, traced; capgpu-trace -verify must
-# find every cap change in every flight stream attributed to a
-# cap-change span whose period, node, and parent agree with the record
-# (exit 1 on any unattributed change).
+# hot reconfigs on every op kind, traced, then diagnosed offline by
+# capgpu-doctor over the whole flight directory at the soak's 3 %
+# slack: every node's incidents must be explained and every cap change
+# in every flight stream attributed to a cap-change span whose period,
+# node, and parent agree with the record. The negative control strips
+# one cause from n003's period-150 record; the doctor must then exit 2
+# and name that change as unattributed.
+TRACE_VERIFY_DIR = /tmp/capgpu-provenance-verify
 trace-verify:
-	@rm -rf /tmp/capgpu-trace-verify && mkdir -p /tmp/capgpu-trace-verify
+	@rm -rf $(TRACE_VERIFY_DIR) && mkdir -p $(TRACE_VERIFY_DIR)/run
+	$(GO) build -o $(TRACE_VERIFY_DIR)/capgpu-doctor ./cmd/capgpu-doctor
 	$(GO) run ./cmd/capgpu-rack -serve -nodes 6 -periods 200 -workers 4 \
 		-schedule "join@40:heavy;budget@60*4800;kill@88:n001;drain@120:n002;cap@150:n003*700;revive@160:n001" \
-		-flight-dir /tmp/capgpu-trace-verify \
-		-trace /tmp/capgpu-trace-verify/trace.jsonl > /dev/null
-	$(GO) run ./cmd/capgpu-trace -trace /tmp/capgpu-trace-verify/trace.jsonl \
-		-flight-dir /tmp/capgpu-trace-verify -verify
-	@echo "trace-verify: ok"
+		-flight-dir $(TRACE_VERIFY_DIR)/run \
+		-events $(TRACE_VERIFY_DIR)/run/events.jsonl \
+		-trace $(TRACE_VERIFY_DIR)/run/trace.jsonl > /dev/null
+	$(TRACE_VERIFY_DIR)/capgpu-doctor -flight $(TRACE_VERIFY_DIR)/run \
+		-events $(TRACE_VERIFY_DIR)/run/events.jsonl \
+		-trace $(TRACE_VERIFY_DIR)/run/trace.jsonl -slack 0.03 -true-slack 0.03
+	@cp -r $(TRACE_VERIFY_DIR)/run $(TRACE_VERIFY_DIR)/neg
+	@sed '/"period":150,/s/"cause_id":"cap:n003@150",//' $(TRACE_VERIFY_DIR)/run/n003.flight.jsonl \
+		> $(TRACE_VERIFY_DIR)/neg/n003.flight.jsonl
+	@code=0; $(TRACE_VERIFY_DIR)/capgpu-doctor -flight $(TRACE_VERIFY_DIR)/neg \
+		-events $(TRACE_VERIFY_DIR)/neg/events.jsonl \
+		-trace $(TRACE_VERIFY_DIR)/neg/trace.jsonl -slack 0.03 -true-slack 0.03 \
+		> $(TRACE_VERIFY_DIR)/neg.txt || code=$$?; \
+	if [ "$$code" != 2 ] || ! grep -qxF 'UNATTRIBUTED: n003 period 150: cap moved 1033.6→700.0 W with no cause' $(TRACE_VERIFY_DIR)/neg.txt; then \
+		echo "trace-verify: negative control not caught (doctor exit $$code)"; cat $(TRACE_VERIFY_DIR)/neg.txt; exit 1; \
+	fi
+	@echo "trace-verify: ok (negative control exits 2)"
 
 # Coverage ratchet: each listed package must stay at or above its floor.
 COVER_FLOORS = cluster:$(CLUSTER_COVER_FLOOR) controlplane:$(CONTROLPLANE_COVER_FLOOR) \

@@ -1,29 +1,38 @@
-// Command capgpu-doctor replays a run's flight record (plus,
-// optionally, its telemetry event stream and CSV trace) and prints a
-// root-cause report: run-level health, a constraint-activity table, and
-// one diagnosed incident per anomaly window — each attributed (meter
-// blind window, stale-model overshoot, SLO/cap conflict, fault-
-// coincident violation, actuator loss) or flagged UNEXPLAINED.
+// Command capgpu-doctor is the diagnosis tool. It replays a run's
+// flight record (plus, optionally, its telemetry event stream and CSV
+// trace) and prints a root-cause report: run-level health, a
+// constraint-activity table, and one diagnosed incident per anomaly
+// window — each attributed (meter blind window, stale-model overshoot,
+// SLO/cap conflict, fault-coincident violation, actuator loss) or
+// flagged UNEXPLAINED.
 //
 // Usage:
 //
-//	capgpu-doctor -flight flight.jsonl [-events events.jsonl] [-csv run.csv] [-json]
+//	capgpu-doctor -flight flight.jsonl [-events events.jsonl [-node n [-alerts]]] [-csv run.csv] [-json]
+//	capgpu-doctor -flight dir [-events events.jsonl [-alerts]] [-trace trace.jsonl]
+//	capgpu-doctor -flight flight.jsonl|dir -trace trace.jsonl -explain node@period [-json]
 //
-// With -alerts (requires -events and -node), the online alert engine's
-// firing/resolved stream is cross-checked against the diagnosed
-// incidents: every fired per-node alert must overlap an incident of
-// the matching kind, and every sustained incident of an alertable kind
-// must have been caught online.
+// -node cuts a multi-node event stream to that node's events plus the
+// rack-scope ones. -alerts cross-checks the online alert engine's
+// firing/resolved stream against the diagnosed incidents: every fired
+// per-node alert must overlap an incident of the matching kind, and
+// every sustained incident of an alertable kind must have been caught
+// online.
 //
-// With -trace trace.jsonl -explain node@period, the doctor answers the
-// provenance question instead of the anomaly one: it resolves the cap
-// the node ran under at that period and prints the causal chain behind
-// it (policy op → reallocation → cap change → settle), exactly like
-// capgpu-trace -explain.
+// A -flight directory is the layout capgpu-rack -flight-dir writes, one
+// <node>.flight.jsonl per node. Every non-empty stream is diagnosed
+// against its node's slice of -events, one "doctor <node>: …" line
+// each; -trace then verifies that every cap change is attributed to a
+// cap-change span and prints the root-cause attribution table — the
+// block the capgpu-rack soak gate writes to its log.
+//
+// -explain node@period answers the provenance question instead: the
+// causal chain behind the cap the node ran under at that period
+// (policy op → reallocation → cap change → settle).
 //
 // Exit codes are CI-gateable: 0 = clean run or every incident
-// explained; 2 = unexplained anomalies or an alert/incident mismatch;
-// 1 = usage or input errors.
+// explained; 2 = unexplained anomalies, an alert/incident mismatch, or
+// an unattributed cap change; 1 = usage or input errors.
 package main
 
 import (
@@ -33,6 +42,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -41,100 +51,100 @@ import (
 	"repro/internal/telemetry"
 )
 
+// flightSuffix names the per-node streams of a -flight directory.
+const flightSuffix = ".flight.jsonl"
+
 func main() {
-	flightPath := flag.String("flight", "", "flight-record JSONL (required; written by capgpu-sim -flight)")
+	flightPath := flag.String("flight", "", "flight-record JSONL, or a directory of <node>.flight.jsonl streams (required)")
 	eventsPath := flag.String("events", "", "telemetry events JSONL (optional cross-check + SLO fallback)")
 	csvPath := flag.String("csv", "", "run CSV trace (optional row-count cross-check)")
-	jsonOut := flag.Bool("json", false, "emit the report as JSON instead of text")
+	jsonOut := flag.Bool("json", false, "emit the report (or the -explain chain) as JSON instead of text")
 	measSlack := flag.Float64("slack", 0.01, "measured-violation slack fraction above the set point")
 	trueSlack := flag.Float64("true-slack", 0.02, "breaker-side violation slack fraction")
 	node := flag.String("node", "", "keep only events for this node label (plus rack-scope events) — for rack/daemon event streams covering many nodes")
-	alerts := flag.Bool("alerts", false, "cross-check online alerts in -events against diagnosed incidents (requires -events and -node)")
-	alertMargin := flag.Int("alert-margin", 0, "alert/incident overlap margin in periods (0 = default)")
-	alertMinSpan := flag.Int("alert-min-span", 0, "shortest incident span the reverse alert check requires (0 = default)")
-	tracePath := flag.String("trace", "", "decision-provenance trace JSONL (capgpu-rack -trace) for -explain")
+	alerts := flag.Bool("alerts", false, "cross-check online alerts in -events against diagnosed incidents (requires -events, and -node for a single file)")
+	tracePath := flag.String("trace", "", "decision-provenance trace JSONL (capgpu-rack -trace): with a -flight directory, verify and attribute every cap change; with -explain, explain one cap")
 	explain := flag.String("explain", "", "with -trace: explain the cap behind node@period (e.g. n002@4310)")
 	flag.Parse()
 
 	if *flightPath == "" {
-		fmt.Fprintln(os.Stderr, "capgpu-doctor: -flight is required")
-		flag.Usage()
-		os.Exit(1)
+		usage("-flight is required")
 	}
-	if *alerts && (*eventsPath == "" || *node == "") {
-		fmt.Fprintln(os.Stderr, "capgpu-doctor: -alerts requires -events and -node")
-		flag.Usage()
-		os.Exit(1)
-	}
-
-	if (*explain == "") != (*tracePath == "") {
-		fmt.Fprintln(os.Stderr, "capgpu-doctor: -explain and -trace go together")
-		flag.Usage()
-		os.Exit(1)
-	}
-
-	records, err := readFlight(*flightPath)
-	if err != nil {
-		fatalf("read flight record: %v", err)
-	}
-
-	if *explain != "" {
-		if err := runExplain(records, *tracePath, *explain); err != nil {
-			fatalf("%v", err)
+	info, err := os.Stat(*flightPath)
+	check(err)
+	isDir := info.IsDir()
+	path, target, period := *flightPath, "", 0
+	switch {
+	case *explain != "":
+		if *tracePath == "" {
+			usage("-explain requires -trace")
 		}
-		return
+		if target, period, err = parseTarget(*explain); err != nil {
+			usage(err.Error())
+		}
+		if isDir {
+			path = filepath.Join(path, target+flightSuffix)
+		}
+	case isDir:
+		if *node != "" || *csvPath != "" || *jsonOut {
+			usage("-node, -csv and -json take a single -flight file, not a directory")
+		}
+		if *alerts && *eventsPath == "" {
+			usage("-alerts requires -events")
+		}
+	case *tracePath != "":
+		usage("-trace takes -explain, or a -flight directory")
+	case *alerts && (*eventsPath == "" || *node == ""):
+		usage("-alerts requires -events and -node")
 	}
+
+	streams, err := loadFlights(path)
+	check(err)
 	var events []telemetry.Event
 	if *eventsPath != "" {
-		f, err := os.Open(*eventsPath)
-		if err != nil {
-			fatalf("open events: %v", err)
-		}
-		events, err = telemetry.ReadEvents(f)
-		closeErr := f.Close()
-		if err != nil {
-			fatalf("read events: %v", err)
-		}
-		if closeErr != nil {
-			fatalf("close events: %v", closeErr)
-		}
+		check(readFile(*eventsPath, func(r io.Reader) (err error) { events, err = telemetry.ReadEvents(r); return err }))
 	}
-	if *node != "" {
-		// A daemon run's event stream interleaves every member; the
-		// diagnosis of one node's flight record should only see that
-		// node's events plus the rack-scope ones (policy changes,
-		// checkpoints), matching the soak gate's slicing.
-		kept := events[:0]
-		for _, e := range events {
-			if e.Node == *node || e.Node == "rack" {
-				kept = append(kept, e)
-			}
-		}
-		events = kept
+	var tr *provenance.Trace
+	if *tracePath != "" {
+		check(readFile(*tracePath, func(r io.Reader) (err error) { tr, err = provenance.LoadTrace(r); return err }))
 	}
+	in := flight.NodesInput{Events: events, MeasuredSlackFrac: *measSlack, TrueSlackFrac: *trueSlack, CheckAlerts: *alerts}
+	switch {
+	case *explain != "":
+		check(runExplain(os.Stdout, tr, streams[""], target, period, *jsonOut))
+	case isDir:
+		in.Flights = streams
+		os.Exit(runDir(in, tr))
+	default:
+		os.Exit(runFile(streams[""], *node, *csvPath, *jsonOut, in))
+	}
+}
 
-	report, err := flight.Diagnose(flight.DoctorInput{
-		Records:           records,
-		Events:            events,
-		MeasuredSlackFrac: *measSlack,
-		TrueSlackFrac:     *trueSlack,
-	})
-	if err != nil {
-		fatalf("%v", err)
-	}
-
+// runFile diagnoses one flight stream and returns the exit code.
+func runFile(records []flight.DecisionRecord, node, csvPath string, jsonOut bool, in flight.NodesInput) int {
+	events := in.Events
+	var report *flight.Report
 	var alertRes *flight.AlertCheckResult
-	if *alerts {
-		alertRes = flight.CheckAlerts(flight.AlertCheckInput{
-			Node:               *node,
-			Alerts:             flight.AlertWindows(events),
-			Incidents:          report.Incidents,
-			MarginPeriods:      *alertMargin,
-			MinIncidentPeriods: *alertMinSpan,
+	if node == "" {
+		var err error
+		report, err = flight.Diagnose(flight.DoctorInput{
+			Records: records, Events: events,
+			MeasuredSlackFrac: in.MeasuredSlackFrac, TrueSlackFrac: in.TrueSlackFrac,
 		})
+		check(err)
+	} else {
+		// A daemon run's event stream interleaves every member; one
+		// node's diagnosis sees only its slice, cut as the soak gate cuts it.
+		in.Flights = map[string][]flight.DecisionRecord{node: records}
+		v, err := flight.DiagnoseNodes(in)
+		check(err)
+		if len(v.Nodes) == 0 {
+			fatalf("flight: no records to diagnose")
+		}
+		report, alertRes, events = v.Nodes[0].Report, v.Nodes[0].Alerts, v.Nodes[0].Events
 	}
 
-	if *jsonOut {
+	if jsonOut {
 		out := struct {
 			*flight.Report
 			Alerts *flight.AlertCheckResult `json:"alerts,omitempty"`
@@ -156,37 +166,105 @@ func main() {
 					alertRes.AlertsMatched, alertRes.IncidentsMatched)
 			}
 		}
-		crossCheck(records, events, *csvPath)
+		crossCheck(records, events, csvPath)
 	}
 	code := report.ExitCode()
 	if alertRes != nil && !alertRes.Ok() && code == 0 {
 		code = 2
 	}
-	os.Exit(code)
+	return code
 }
 
-// runExplain resolves node@period against the flight stream and the
-// provenance trace, and prints the causal chain behind the cap the
-// node ran under at that period.
-func runExplain(records []flight.DecisionRecord, tracePath, target string) error {
-	at := strings.LastIndexByte(target, '@')
-	if at <= 0 {
-		return fmt.Errorf("bad -explain target %q: want node@period", target)
+// runDir diagnoses every stream of a -flight directory and, with a
+// trace, verifies and attributes every cap change (energy at the 4 s
+// control period); it returns the exit code.
+func runDir(in flight.NodesInput, tr *provenance.Trace) int {
+	v, err := flight.DiagnoseNodes(in)
+	check(err)
+	if len(v.Nodes) == 0 {
+		// A wrong directory must not pass as a clean run.
+		fatalf("no non-empty <node>%s streams in the -flight directory", flightSuffix)
 	}
-	node := target[:at]
-	period, err := strconv.Atoi(target[at+1:])
+	if err := v.WriteText(os.Stdout); err != nil {
+		fatalf("write report: %v", err)
+	}
+	code := v.ExitCode()
+	if tr != nil {
+		problems, _ := tr.VerifyFlights(in.Flights, provenance.DefaultEpsilonW)
+		for _, p := range problems {
+			fmt.Println("UNATTRIBUTED:", p)
+		}
+		fmt.Printf("\nprovenance: %d spans, %d unattributed cap change(s)\n%s",
+			len(tr.Spans), len(problems), provenance.FormatAttribution(tr.Attribution(in.Flights, 4)))
+		if len(problems) > 0 {
+			code = 2
+		}
+	}
+	return code
+}
+
+// loadFlights reads the -flight argument. A directory yields every
+// <node>.flight.jsonl in it, keyed by node (the file stem); a file
+// yields its one stream keyed "".
+func loadFlights(path string) (map[string][]flight.DecisionRecord, error) {
+	info, err := os.Stat(path)
 	if err != nil {
-		return fmt.Errorf("bad -explain target %q: %v", target, err)
+		return nil, err
 	}
-	f, err := os.Open(tracePath)
+	paths := []string{path}
+	if info.IsDir() {
+		if paths, err = filepath.Glob(filepath.Join(path, "*"+flightSuffix)); err != nil {
+			return nil, err
+		}
+	}
+	streams := make(map[string][]flight.DecisionRecord, len(paths))
+	for _, p := range paths {
+		name := ""
+		if info.IsDir() {
+			name = strings.TrimSuffix(filepath.Base(p), flightSuffix)
+		}
+		var recs []flight.DecisionRecord
+		if err := readFile(p, func(r io.Reader) (err error) { recs, err = flight.ReadRecords(r); return err }); err != nil {
+			return nil, err
+		}
+		streams[name] = recs
+	}
+	return streams, nil
+}
+
+// readFile hands the file at path to read, naming the path in errors.
+func readFile(path string, read func(io.Reader) error) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
-	tr, err := provenance.LoadTrace(f)
-	_ = f.Close()
-	if err != nil {
-		return fmt.Errorf("%s: %w", tracePath, err)
+	err = read(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// parseTarget splits an -explain target "node@period".
+func parseTarget(s string) (node string, period int, err error) {
+	at := strings.LastIndexByte(s, '@')
+	if at <= 0 {
+		return "", 0, fmt.Errorf("bad -explain target %q: want node@period", s)
+	}
+	period, err = strconv.Atoi(s[at+1:])
+	if err != nil {
+		return "", 0, fmt.Errorf("bad -explain target %q: %v", s, err)
+	}
+	return s[:at], period, nil
+}
+
+// runExplain resolves node@period against the node's flight stream
+// and the provenance trace, and prints the causal chain behind the
+// cap the node ran under at that period.
+func runExplain(w io.Writer, tr *provenance.Trace, records []flight.DecisionRecord, node string, period int, jsonOut bool) error {
 	var rec *flight.DecisionRecord
 	for i := range records {
 		if records[i].Period == period {
@@ -195,36 +273,34 @@ func runExplain(records []flight.DecisionRecord, tracePath, target string) error
 		}
 	}
 	if rec == nil {
-		return fmt.Errorf("flight record has no period %d", period)
+		return fmt.Errorf("node %s has no flight record for period %d", node, period)
 	}
 	if rec.CauseID == "" {
-		fmt.Printf("%s@%d: cap %.1f W is the initial assignment (no traced cause)\n",
+		if jsonOut {
+			return json.NewEncoder(w).Encode(map[string]any{
+				"node": node, "period": period, "setpoint_w": rec.SetpointW, "cause": nil,
+			})
+		}
+		_, err := fmt.Fprintf(w, "%s@%d: cap %.1f W is the initial assignment (no traced cause)\n",
 			node, period, rec.SetpointW)
-		return nil
+		return err
 	}
 	chain := tr.Chain(rec.CauseID)
 	if chain == nil {
-		return fmt.Errorf("cause %s of period %d is not in the trace", rec.CauseID, period)
+		return fmt.Errorf("cause %s of %s@%d is not in the trace", rec.CauseID, node, period)
 	}
 	if sp := tr.Span(rec.CauseID); sp != nil && sp.Node != "" && sp.Node != node {
 		return fmt.Errorf("cause %s belongs to node %s, not %s — wrong -flight stream?", rec.CauseID, sp.Node, node)
 	}
-	fmt.Printf("%s@%d: cap %.1f W (cause %s, class %s)\n",
-		node, period, rec.SetpointW, rec.CauseID, tr.RootClass(rec.CauseID))
-	fmt.Printf("  %s\n", provenance.FormatChain(chain))
-	return nil
-}
-
-func readFlight(path string) ([]flight.DecisionRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	if jsonOut {
+		return json.NewEncoder(w).Encode(map[string]any{
+			"node": node, "period": period, "setpoint_w": rec.SetpointW,
+			"cause": rec.CauseID, "class": tr.RootClass(rec.CauseID), "chain": chain,
+		})
 	}
-	records, err := flight.ReadRecords(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return records, err
+	_, err := fmt.Fprintf(w, "%s@%d: cap %.1f W (cause %s, class %s)\n  %s\n",
+		node, period, rec.SetpointW, rec.CauseID, tr.RootClass(rec.CauseID), provenance.FormatChain(chain))
+	return err
 }
 
 // crossCheck prints consistency notes between the three inputs; purely
@@ -245,7 +321,7 @@ func crossCheck(records []flight.DecisionRecord, events []telemetry.Event, csvPa
 	if csvPath != "" {
 		rows, err := countCSVRows(csvPath)
 		if err != nil {
-			fmt.Printf("\nnote: could not read CSV %s: %v\n", csvPath, err)
+			fmt.Printf("\nnote: could not read CSV %v\n", err)
 		} else if rows != len(records) {
 			fmt.Printf("\nnote: CSV has %d data rows but the flight record has %d — inputs may be from different runs\n",
 				rows, len(records))
@@ -253,29 +329,27 @@ func crossCheck(records []flight.DecisionRecord, events []telemetry.Event, csvPa
 	}
 }
 
-func countCSVRows(path string) (int, error) {
-	f, err := os.Open(path)
+func countCSVRows(path string) (rows int, err error) {
+	err = readFile(path, func(r io.Reader) error {
+		cr := csv.NewReader(r)
+		cr.FieldsPerRecord = -1
+		all, err := cr.ReadAll()
+		rows = max(len(all)-1, 0) // minus the header
+		return err
+	})
+	return rows, err
+}
+
+func check(err error) {
 	if err != nil {
-		return 0, err
+		fatalf("%v", err)
 	}
-	r := csv.NewReader(f)
-	r.FieldsPerRecord = -1
-	rows := 0
-	for {
-		_, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			_ = f.Close()
-			return 0, err
-		}
-		rows++
-	}
-	if rows > 0 {
-		rows-- // header
-	}
-	return rows, f.Close()
+}
+
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "capgpu-doctor: "+msg)
+	flag.Usage()
+	os.Exit(1)
 }
 
 func fatalf(format string, args ...any) {

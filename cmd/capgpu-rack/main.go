@@ -60,7 +60,8 @@
 //	-flight-dir string     per-node flight JSONL (+ soak doctor reports)
 //	-trace string          decision-provenance trace JSONL: one span per
 //	                       policy op, reallocation, and cap change, for
-//	                       capgpu-trace to replay into causal chains
+//	                       capgpu-doctor -flight <flight-dir> -trace to
+//	                       verify, attribute and explain
 //	-pace duration         wall-clock pacing per period (4s = real time)
 //
 // In daemon mode crashes are injected through the schedule DSL
@@ -106,7 +107,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 0, "with -serve/-soak, checkpoint cadence in periods (0 = shutdown only; soak defaults to 500)")
 	resume := flag.Bool("resume", false, "with -serve/-soak, restore from -checkpoint instead of cold-starting")
 	flightDir := flag.String("flight-dir", "", "with -serve/-soak, write per-node flight JSONL (and soak doctor reports) here")
-	tracePath := flag.String("trace", "", "with -serve/-soak, write the decision-provenance trace JSONL here (for capgpu-trace)")
+	tracePath := flag.String("trace", "", "with -serve/-soak, write the decision-provenance trace JSONL here (for capgpu-doctor -flight <flight-dir> -trace)")
 	pace := flag.Duration("pace", 0, "with -serve, wall-clock delay per control period (0 = free-running; 4s = real time)")
 	workloadKind := flag.String("workload", "", "with -nodes, fleet workload family: cnn (default) or llm (continuous-batching LLM serving)")
 	flag.Parse()

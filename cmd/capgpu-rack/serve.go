@@ -14,7 +14,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"syscall"
 	"time"
 
@@ -98,6 +97,14 @@ func runServe(o serveOptions) error {
 		}
 	}
 
+	// The flight dir is made first: the trace and events files
+	// usually live in it.
+	if o.flightDir != "" {
+		if err := os.MkdirAll(o.flightDir, 0o755); err != nil {
+			return err
+		}
+	}
+
 	// Provenance tracer: soak always traces (the verdict includes the
 	// zero-unattributed attribution gate, and its JSONL tees into
 	// memory); serve traces when -trace names a destination. Restore
@@ -174,11 +181,6 @@ func runServe(o serveOptions) error {
 		}
 		flightFiles = append(flightFiles, f)
 		return io.MultiWriter(f, buf), nil
-	}
-	if o.flightDir != "" {
-		if err := os.MkdirAll(o.flightDir, 0o755); err != nil {
-			return err
-		}
 	}
 	deps := experiments.NewDaemonDeps(o.seed, hub, flightWriter)
 	deps.Tracer = tracer
@@ -382,91 +384,60 @@ func soakVerdict(d *controlplane.Daemon, hub *telemetry.Hub, eventsBuf *bytes.Bu
 	if err != nil {
 		return err
 	}
-	names := make([]string, 0, len(flightBufs))
-	for name := range flightBufs {
-		//lint:ignore determinism names are sorted immediately below
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	alertWindows := flight.AlertWindows(events)
-	unexplained, alertMismatches, energyMismatches := 0, 0, 0
-	var trapTotalWh float64
-	flightRecs := map[string][]flight.DecisionRecord{}
-	fmt.Println()
-	for _, name := range names {
-		recs, err := flight.ReadRecords(bytes.NewReader(flightBufs[name].Bytes()))
+	flightRecs := make(map[string][]flight.DecisionRecord, len(flightBufs))
+	for name, buf := range flightBufs {
+		recs, err := flight.ReadRecords(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
-		}
-		if len(recs) == 0 {
-			continue
 		}
 		flightRecs[name] = recs
-		var nodeEvents []telemetry.Event
-		for _, ev := range events {
-			if ev.Node == name || ev.Node == "rack" {
-				nodeEvents = append(nodeEvents, ev)
-			}
-		}
-		// The soak's injected load (±80 % bursts on a diurnal swing) puts
-		// the plant's period-to-period noise floor near ±5 % of a node
-		// cap, so the gate runs the doctor at a 3 % slack on both meters
-		// instead of the 1 %/2 % defaults: tight enough that a stuck
-		// controller or an escaped reallocation still fails the day,
-		// loose enough that threshold-grazing noise over 21600 periods
-		// does not. The written artifacts keep full resolution —
-		// capgpu-doctor -slack reruns any stricter analysis offline.
-		report, err := flight.Diagnose(flight.DoctorInput{
-			Records: recs, Events: nodeEvents,
-			MeasuredSlackFrac: 0.03, TrueSlackFrac: 0.03,
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		verdict := "clean"
-		if len(report.Incidents) > 0 {
-			verdict = fmt.Sprintf("%d incidents explained", len(report.Incidents))
-		}
-		if report.Unexplained > 0 {
-			verdict = fmt.Sprintf("%d UNEXPLAINED of %d incidents", report.Unexplained, len(report.Incidents))
-			unexplained += report.Unexplained
-			for _, inc := range report.Incidents {
-				if !inc.Explained {
-					fmt.Printf("  %s: [%s] periods %d-%d: %s\n", name, inc.Kind, inc.StartPeriod, inc.EndPeriod, inc.Detail)
-				}
-			}
-		}
-		fmt.Printf("doctor %s: %s\n", name, verdict)
+	}
+	// The soak's injected load (±80 % bursts on a diurnal swing) puts
+	// the plant's period-to-period noise floor near ±5 % of a node
+	// cap, so the gate runs the doctor at a 3 % slack on both meters
+	// instead of the 1 %/2 % defaults: tight enough that a stuck
+	// controller or an escaped reallocation still fails the day,
+	// loose enough that threshold-grazing noise over 21600 periods
+	// does not. The written artifacts keep full resolution —
+	// capgpu-doctor -slack reruns any stricter analysis offline.
+	//
+	// The alert cross-check is the online/offline correspondence: the
+	// alert engine and the doctor looked at the same run through
+	// different instruments, so their windows must overlap (after
+	// margin widening) in both directions.
+	verdict, err := flight.DiagnoseNodes(flight.NodesInput{
+		Flights: flightRecs, Events: events,
+		MeasuredSlackFrac: 0.03, TrueSlackFrac: 0.03,
+		CheckAlerts: true,
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Println()
+	if err := verdict.WriteText(os.Stdout); err != nil {
+		return err
+	}
 
-		// Online/offline correspondence: the alert engine and the doctor
-		// looked at the same run through different instruments, so their
-		// windows must overlap (after margin widening) in both directions.
-		ac := flight.CheckAlerts(flight.AlertCheckInput{
-			Node: name, Alerts: alertWindows, Incidents: report.Incidents,
-		})
-		if err := ac.Err(); err != nil {
-			alertMismatches++
-			fmt.Printf("  %s: %v\n", name, err)
-		}
-
-		// Energy agreement: the ledger accumulated each period's EnergyJ;
-		// trapezoidal integration of the flight record's true-power series
-		// is an independent estimate that differs only by half-period edge
-		// effects, far inside the relative tolerance.
-		trapWh := trapezoidWh(recs)
+	// Energy agreement: the ledger accumulated each period's EnergyJ;
+	// trapezoidal integration of the flight record's true-power series
+	// is an independent estimate that differs only by half-period edge
+	// effects, far inside the relative tolerance.
+	energyMismatches := 0
+	var trapTotalWh float64
+	for _, nv := range verdict.Nodes {
+		trapWh := trapezoidWh(flightRecs[nv.Node])
 		trapTotalWh += trapWh
-		ledgerWh := hub.NodeWh(name)
+		ledgerWh := hub.NodeWh(nv.Node)
 		if relDiff(ledgerWh, trapWh) > 1e-3 {
 			energyMismatches++
-			fmt.Printf("  %s: ledger %.3f Wh vs trapezoid %.3f Wh\n", name, ledgerWh, trapWh)
+			fmt.Printf("  %s: ledger %.3f Wh vs trapezoid %.3f Wh\n", nv.Node, ledgerWh, trapWh)
 		}
-
 		if artifactDir != "" {
-			b, err := json.MarshalIndent(report, "", "  ")
+			b, err := json.MarshalIndent(nv.Report, "", "  ")
 			if err != nil {
 				return err
 			}
-			if err := os.WriteFile(filepath.Join(artifactDir, "doctor-"+name+".json"), append(b, '\n'), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(artifactDir, "doctor-"+nv.Node+".json"), append(b, '\n'), 0o644); err != nil {
 				return err
 			}
 		}
@@ -474,7 +445,7 @@ func soakVerdict(d *controlplane.Daemon, hub *telemetry.Hub, eventsBuf *bytes.Bu
 
 	ledgerTotal := hub.LedgerTotalWh()
 	fmt.Printf("\nenergy: ledger %.1f Wh, trapezoid %.1f Wh, %d fired alerts across %d nodes\n",
-		ledgerTotal, trapTotalWh, len(telemetry.FiredAlerts(events)), len(names))
+		ledgerTotal, trapTotalWh, len(telemetry.FiredAlerts(events)), len(flightBufs))
 	if relDiff(ledgerTotal, trapTotalWh) > 1e-3 {
 		energyMismatches++
 		fmt.Printf("TOTAL energy disagreement: ledger %.3f Wh vs trapezoid %.3f Wh\n", ledgerTotal, trapTotalWh)
@@ -483,24 +454,21 @@ func soakVerdict(d *controlplane.Daemon, hub *telemetry.Hub, eventsBuf *bytes.Bu
 	// Provenance gate: replay the trace stream against the flight
 	// records — every cap change ≥ ε must point at a cap-change span
 	// whose period, node, and parent all agree with the record.
-	unattributed := 0
 	ptr, err := provenance.LoadTrace(bytes.NewReader(traceBuf.Bytes()))
 	if err != nil {
 		return fmt.Errorf("trace replay: %w", err)
 	}
-	for _, name := range names {
-		for _, p := range ptr.VerifyAttribution(name, flightRecs[name], provenance.DefaultEpsilonW) {
-			unattributed++
-			fmt.Println("UNATTRIBUTED:", p)
-		}
+	problems, _ := ptr.VerifyFlights(flightRecs, provenance.DefaultEpsilonW)
+	for _, p := range problems {
+		fmt.Println("UNATTRIBUTED:", p)
 	}
-	attrib := ptr.Attribution(flightRecs, 4)
-	attribTable := provenance.FormatAttribution(attrib)
+	unattributed := len(problems)
+	attribTable := provenance.FormatAttribution(ptr.Attribution(flightRecs, 4))
 	fmt.Printf("\nprovenance: %d spans, %d unattributed cap change(s)\n%s",
 		len(ptr.Spans), unattributed, attribTable)
 
 	if artifactDir != "" {
-		if err := writeSoakArtifacts(hub, alertWindows, artifactDir); err != nil {
+		if err := writeSoakArtifacts(hub, flight.AlertWindows(events), artifactDir); err != nil {
 			return err
 		}
 		if err := os.WriteFile(filepath.Join(artifactDir, "trace.jsonl"), traceBuf.Bytes(), 0o644); err != nil {
@@ -510,9 +478,9 @@ func soakVerdict(d *controlplane.Daemon, hub *telemetry.Hub, eventsBuf *bytes.Bu
 			return err
 		}
 	}
-	if unexplained > 0 || rejected > 0 || viol > 0 || alertMismatches > 0 || energyMismatches > 0 || unattributed > 0 {
+	if verdict.ExitCode() != 0 || rejected > 0 || viol > 0 || energyMismatches > 0 || unattributed > 0 {
 		return fmt.Errorf("soak failed: %d unexplained incidents, %d rejected ops, %d invariant violations, %d alert mismatches, %d energy mismatches, %d unattributed cap changes",
-			unexplained, rejected, viol, alertMismatches, energyMismatches, unattributed)
+			verdict.Unexplained, rejected, viol, verdict.AlertMismatches, energyMismatches, unattributed)
 	}
 	fmt.Println("\nsoak clean: every incident explained, all ops applied, budget invariant held, alerts match the doctor, ledger matches integration, every cap change attributed")
 	return nil

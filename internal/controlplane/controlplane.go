@@ -93,7 +93,8 @@ type Deps struct {
 	// through it by node serial.
 	Classes []ClassSpec
 	// Hub, when non-nil, receives telemetry (per-node sinks labeled
-	// with the bare node name; rack-scope events under "rack").
+	// with the bare node name; rack-scope events under
+	// telemetry.RackNode).
 	Hub *telemetry.Hub
 	// FlightWriter, when non-nil, opens the JSONL destination for one
 	// node's flight stream. It is called once per node construction —
@@ -268,7 +269,7 @@ func New(spec Spec, deps Deps) (*Daemon, error) {
 	coord.ReservationHoldPeriods = spec.ReservationHold
 	coord.Silenced = func(_ int, name string) bool { return d.silenced[name] }
 	if deps.Hub != nil {
-		coord.Telemetry = deps.Hub.NodeSink("rack")
+		coord.Telemetry = deps.Hub.NodeSink(telemetry.RackNode)
 		if spec.Energy.Enabled() {
 			deps.Hub.SetEnergyWeights(spec.Energy.CarbonCurve(), spec.Energy.PriceCurve())
 		}
@@ -649,7 +650,7 @@ func (d *Daemon) applyOp(op Op, k int) AppliedOp {
 	if d.deps.Hub == nil {
 		return res
 	}
-	sink := d.deps.Hub.NodeSink("rack")
+	sink := d.deps.Hub.NodeSink(telemetry.RackNode)
 	switch {
 	case !applied:
 		sink.Emit(telemetry.Event{
@@ -895,7 +896,7 @@ func (d *Daemon) checkInvariant(k int) {
 // file write only on live runs with a path attached.
 func (d *Daemon) checkpointBoundary(k int) {
 	if d.deps.Hub != nil {
-		d.deps.Hub.NodeSink("rack").Emit(telemetry.Event{
+		d.deps.Hub.NodeSink(telemetry.RackNode).Emit(telemetry.Event{
 			TimeS: d.nowS(), Period: k, Type: telemetry.EventCheckpoint,
 			Device: -1, Value: float64(d.k),
 			Detail: fmt.Sprintf("epoch=%d members=%d", d.epoch, len(d.coord.Nodes)),

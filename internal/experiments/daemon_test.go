@@ -297,44 +297,34 @@ func TestDaemonSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked := 0
 	flightRecs := map[string][]flight.DecisionRecord{}
 	for name, buf := range w.flights {
 		recs, err := flight.ReadRecords(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if len(recs) == 0 {
-			continue
-		}
 		flightRecs[name] = recs
-		var nodeEvents []telemetry.Event
-		for _, ev := range events {
-			if ev.Node == name || ev.Node == "rack" {
-				nodeEvents = append(nodeEvents, ev)
-			}
-		}
-		report, err := flight.Diagnose(flight.DoctorInput{Records: recs, Events: nodeEvents})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if report.ExitCode() != 0 {
-			for _, inc := range report.Incidents {
-				if !inc.Explained {
-					t.Errorf("%s: unexplained %s incident periods %d-%d: %s",
-						name, inc.Kind, inc.StartPeriod, inc.EndPeriod, inc.Detail)
-				}
-			}
-			t.Fatalf("%s: doctor exit %d (%d unexplained)", name, report.ExitCode(), report.Unexplained)
-		}
-		// Epoch stamping reached the flight stream.
-		if last := recs[len(recs)-1]; last.PolicyEpoch == 0 {
-			t.Errorf("%s: final flight record carries no policy epoch", name)
-		}
-		checked++
 	}
-	if checked < nodes {
-		t.Fatalf("doctor checked only %d members", checked)
+	verdict, err := flight.DiagnoseNodes(flight.NodesInput{Flights: flightRecs, Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if verdict.ExitCode() != 0 {
+		var b strings.Builder
+		if err := verdict.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("doctor: %d unexplained incidents\n%s", verdict.Unexplained, b.String())
+	}
+	if len(verdict.Nodes) < nodes {
+		t.Fatalf("doctor checked only %d members", len(verdict.Nodes))
+	}
+	// Epoch stamping reached the flight stream.
+	for _, nv := range verdict.Nodes {
+		recs := flightRecs[nv.Node]
+		if last := recs[len(recs)-1]; last.PolicyEpoch == 0 {
+			t.Errorf("%s: final flight record carries no policy epoch", nv.Node)
+		}
 	}
 
 	// Provenance gate: every cap change on every member traces back to
@@ -344,16 +334,9 @@ func TestDaemonSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	capChanges := 0
-	for name, recs := range flightRecs {
-		for _, p := range ptr.VerifyAttribution(name, recs, provenance.DefaultEpsilonW) {
-			t.Errorf("unattributed: %s", p)
-		}
-		for i := 1; i < len(recs); i++ {
-			if d := recs[i].SetpointW - recs[i-1].SetpointW; d >= provenance.DefaultEpsilonW || -d >= provenance.DefaultEpsilonW {
-				capChanges++
-			}
-		}
+	problems, capChanges := ptr.VerifyFlights(flightRecs, provenance.DefaultEpsilonW)
+	for _, p := range problems {
+		t.Errorf("unattributed: %s", p)
 	}
 	if capChanges == 0 {
 		t.Fatal("soak produced no cap changes to attribute")

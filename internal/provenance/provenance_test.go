@@ -344,6 +344,18 @@ func TestAttributionAndVerify(t *testing.T) {
 	if probs := ld.VerifyAttribution("n0", recs, DefaultEpsilonW); len(probs) != 0 {
 		t.Fatalf("clean stream flagged: %v", probs)
 	}
+	// The all-streams form: the fixture plus a flat stream with no cap
+	// change; stripping the one cause is one problem of one change.
+	flat := []flight.DecisionRecord{{Period: 0, SetpointW: 400}, {Period: 1, SetpointW: 400}}
+	if probs, changes := ld.VerifyFlights(map[string][]flight.DecisionRecord{"n0": recs, "n1": flat}, DefaultEpsilonW); len(probs) != 0 || changes != 1 {
+		t.Fatalf("VerifyFlights clean = %v, %d changes; want none, 1", probs, changes)
+	}
+	stripped := append([]flight.DecisionRecord(nil), recs...)
+	stripped[1].CauseID = ""
+	probs, changes := ld.VerifyFlights(map[string][]flight.DecisionRecord{"n0": stripped, "n1": flat}, DefaultEpsilonW)
+	if want := "n0 period 1: cap moved 300.0→250.0 W with no cause"; len(probs) != 1 || probs[0] != want || changes != 1 {
+		t.Fatalf("VerifyFlights stripped = %q, %d changes; want [%q], 1", probs, changes, want)
+	}
 	rows := ld.Attribution(map[string][]flight.DecisionRecord{"n0": recs}, 4)
 	got := map[string]AttributionRow{}
 	for _, r := range rows {

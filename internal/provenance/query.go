@@ -4,8 +4,8 @@ package provenance
 // a span forest, walk causal chains, render them for humans, attribute
 // node-periods and energy to root-cause classes, and verify that every
 // cap change in a flight stream is covered by a cap-change span — the
-// engine behind capgpu-trace, capgpu-doctor -explain, and the soak
-// gate's zero-unattributed check.
+// engine behind capgpu-doctor's -trace (explain, verify, attribution
+// table) and the soak gate's zero-unattributed check.
 
 import (
 	"encoding/json"
@@ -238,13 +238,7 @@ func (tr *Trace) Attribution(flights map[string][]flight.DecisionRecord, periodS
 			settleN[class]++
 		}
 	}
-	names := make([]string, 0, len(flights))
-	for n := range flights {
-		//lint:ignore determinism names are sorted immediately below
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range streamNames(flights) {
 		for _, rec := range flights[n] {
 			class := ClassInitial
 			if rec.CauseID != "" {
@@ -290,6 +284,32 @@ func FormatAttribution(rows []AttributionRow) string {
 	}
 	fmt.Fprintf(&b, "%-24s %12d %10d %12.1f %10s\n", "total", totalChanges, totalPeriods, totalWh, "")
 	return b.String()
+}
+
+// streamNames returns the node names of a flight-stream map, sorted.
+func streamNames(flights map[string][]flight.DecisionRecord) []string {
+	names := make([]string, 0, len(flights))
+	for n := range flights {
+		//lint:ignore determinism names are sorted immediately below
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// VerifyFlights runs VerifyAttribution over every node's stream in name
+// order and counts the cap changes of at least epsilonW it checked.
+func (tr *Trace) VerifyFlights(flights map[string][]flight.DecisionRecord, epsilonW float64) (problems []string, changes int) {
+	for _, n := range streamNames(flights) {
+		recs := flights[n]
+		problems = append(problems, tr.VerifyAttribution(n, recs, epsilonW)...)
+		for i := 1; i < len(recs); i++ {
+			if d := recs[i].SetpointW - recs[i-1].SetpointW; d >= epsilonW || -d >= epsilonW {
+				changes++
+			}
+		}
+	}
+	return problems, changes
 }
 
 // VerifyAttribution checks one node's flight stream against the trace:

@@ -31,9 +31,10 @@ const (
 	AlertBudgetHeadroom = "budget-headroom"
 )
 
-// AlertRackNode is the node label rack-scoped alerts fire under — the
-// same synthetic node the control-plane coordinator emits as.
-const AlertRackNode = "rack"
+// RackNode is the node label of rack-scope telemetry: the synthetic
+// node the control-plane coordinator emits policy, checkpoint and
+// allocation events as, and rack-scoped alerts fire under.
+const RackNode = "rack"
 
 // AlertConfig tunes the alert rules. Zero fields take the defaults
 // noted on each; pass the zero value for an all-defaults engine.
@@ -286,11 +287,11 @@ func (e *alertEngine) finalizeRackLocked(h *Hub) {
 	case !r.firing && r.sustain >= e.cfg.BudgetSustain:
 		r.firing = true
 		e.emit(h, Event{TimeS: r.curTime, Period: r.curPeriod, Type: EventAlertFiring,
-			Node: AlertRackNode, Device: -1, Detail: AlertBudgetHeadroom, Value: r.curSumW})
+			Node: RackNode, Device: -1, Detail: AlertBudgetHeadroom, Value: r.curSumW})
 	case r.firing && !exhausted:
 		r.firing = false
 		e.emit(h, Event{TimeS: r.curTime, Period: r.curPeriod, Type: EventAlertResolved,
-			Node: AlertRackNode, Device: -1, Detail: AlertBudgetHeadroom, Value: r.curSumW})
+			Node: RackNode, Device: -1, Detail: AlertBudgetHeadroom, Value: r.curSumW})
 	}
 }
 
@@ -330,7 +331,7 @@ func (e *alertEngine) finishRack(h *Hub) {
 	if e.rack.firing {
 		e.rack.firing = false
 		e.emit(h, Event{TimeS: e.rack.curTime, Period: e.rack.curPeriod, Type: EventAlertResolved,
-			Node: AlertRackNode, Device: -1, Detail: AlertBudgetHeadroom})
+			Node: RackNode, Device: -1, Detail: AlertBudgetHeadroom})
 	}
 }
 

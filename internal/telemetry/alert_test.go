@@ -138,8 +138,8 @@ func TestAlertBudgetHeadroom(t *testing.T) {
 	emit(1, 980) // exhausted 2 → fires when period 2 arrives
 	emit(2, 700) // clean → resolves when finalized
 	if f := eventsOf(hub.Events(), EventAlertFiring); len(f) != 1 ||
-		f[0].Detail != AlertBudgetHeadroom || f[0].Node != AlertRackNode || f[0].Period != 1 {
-		t.Fatalf("firing = %+v, want budget-headroom on %q at period 1", f, AlertRackNode)
+		f[0].Detail != AlertBudgetHeadroom || f[0].Node != RackNode || f[0].Period != 1 {
+		t.Fatalf("firing = %+v, want budget-headroom on %q at period 1", f, RackNode)
 	}
 	if err := hub.Finish(); err != nil { // finalizes period 2 → resolve
 		t.Fatal(err)

@@ -33,9 +33,9 @@ type TraceSource interface {
 //
 //	/metrics — Prometheus text exposition of the registry
 //	/events  — JSON tail of the event ring (?n= limits, default 256;
-//	           ?node= and ?kind= filter by node label and event type,
-//	           ?from= and ?to= by period range, before the tail is
-//	           taken, mirroring capgpu-doctor's -node filtering),
+//	           ?node= and ?kind= filter by exact node label and event
+//	           type, ?from= and ?to= by period range, before the tail
+//	           is taken; ?node= does not add rack-scope events),
 //	           wrapped in EventsResponse so ring truncation is visible
 //	/query   — one time-series window from the embedded store
 //	           (?series=...&node=...&res=1|10|100&from=...&to=...),
