@@ -105,6 +105,25 @@ func (m *Mat) Row(i int) []float64 {
 	return r
 }
 
+// RowView returns row i as a slice of m.Data: no copy is made, and
+// writes through it modify m.
+func (m *Mat) RowView(i int) []float64 {
+	if i < 0 || i >= m.Rows {
+		panic(fmt.Sprintf("mat: row %d out of range %d", i, m.Rows))
+	}
+	return m.Data[i*m.Cols : (i+1)*m.Cols]
+}
+
+// Reset reshapes m to a zeroed rows x cols matrix, reusing its storage
+// when it is large enough.
+func (m *Mat) Reset(rows, cols int) {
+	if rows < 0 || cols < 0 {
+		panic(fmt.Sprintf("mat: negative dimension %dx%d", rows, cols))
+	}
+	m.Rows, m.Cols = rows, cols
+	m.Data = Reuse(m.Data, rows*cols)
+}
+
 // Col returns a copy of column j.
 func (m *Mat) Col(j int) []float64 {
 	if j < 0 || j >= m.Cols {
@@ -185,19 +204,25 @@ func (m *Mat) Mul(other *Mat) *Mat {
 
 // MulVec returns m * v as a new vector.
 func (m *Mat) MulVec(v []float64) []float64 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("mat: mulvec dimension mismatch %dx%d * %d", m.Rows, m.Cols, len(v)))
-	}
 	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	m.MulVecInto(out, v)
+	return out
+}
+
+// MulVecInto writes m * v into dst (len(dst) == m.Rows; dst must not
+// alias v).
+func (m *Mat) MulVecInto(dst, v []float64) {
+	if m.Cols != len(v) || m.Rows != len(dst) {
+		panic(fmt.Sprintf("mat: mulvec dimension mismatch %dx%d * %d into %d", m.Rows, m.Cols, len(v), len(dst)))
+	}
+	for i := range dst {
 		s := 0.0
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		for j, a := range row {
 			s += a * v[j]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out
 }
 
 // Trace returns the sum of the diagonal of a square matrix.
@@ -259,6 +284,18 @@ func (m *Mat) String() string {
 		b.WriteString("]\n")
 	}
 	return b.String()
+}
+
+// Reuse returns buf resliced to length n and zeroed, allocating only
+// when cap(buf) < n: the building block of the reusable solver
+// workspaces.
+func Reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Vector helpers. Vectors are plain []float64 throughout the repo; the

@@ -10,66 +10,89 @@ import (
 // singular matrix.
 var ErrSingular = errors.New("mat: matrix is singular to working precision")
 
-// LU holds an LU factorization with partial pivoting: P*A = L*U.
+// LU holds an LU factorization with partial pivoting: P*A = L*U. The
+// zero value is an empty factorization ready for Refactor, which reuses
+// its storage, so one LU can factor a sequence of systems without
+// allocating.
 type LU struct {
-	lu   *Mat  // combined L (unit lower) and U factors
+	lu   Mat   // combined L (unit lower) and U factors
 	piv  []int // row permutation
 	sign int   // determinant sign of the permutation
 }
 
 // Factor computes the LU factorization of square a.
 func Factor(a *Mat) (*LU, error) {
+	f := new(LU)
+	if err := f.Refactor(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Refactor computes the LU factorization of square a into f's storage,
+// leaving a unchanged. On error f holds no usable factorization.
+func (f *LU) Refactor(a *Mat) error {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("mat: LU of non-square %dx%d matrix", a.Rows, a.Cols)
+		return fmt.Errorf("mat: LU of non-square %dx%d matrix", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	lu := a.Clone()
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
+	f.lu.Rows, f.lu.Cols = n, n
+	f.lu.Data = append(f.lu.Data[:0], a.Data...)
+	f.piv = Reuse(f.piv, n)
+	for i := range f.piv {
+		f.piv[i] = i
 	}
-	sign := 1
+	f.sign = 1
+	d, piv := f.lu.Data, f.piv
 	for k := 0; k < n; k++ {
 		// Partial pivot: largest |entry| in column k at or below the diagonal.
 		p := k
-		maxAbs := math.Abs(lu.At(k, k))
+		maxAbs := math.Abs(d[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu.At(i, k)); a > maxAbs {
+			if a := math.Abs(d[i*n+k]); a > maxAbs {
 				maxAbs, p = a, i
 			}
 		}
 		if maxAbs < 1e-14 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			for j := 0; j < n; j++ {
-				lu.Data[p*n+j], lu.Data[k*n+j] = lu.Data[k*n+j], lu.Data[p*n+j]
+				d[p*n+j], d[k*n+j] = d[k*n+j], d[p*n+j]
 			}
 			piv[p], piv[k] = piv[k], piv[p]
-			sign = -sign
+			f.sign = -f.sign
 		}
-		inv := 1 / lu.At(k, k)
+		inv := 1 / d[k*n+k]
 		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) * inv
-			lu.Set(i, k, m)
+			m := d[i*n+k] * inv
+			d[i*n+k] = m
 			if m == 0 {
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				lu.Add(i, j, -m*lu.At(k, j))
+				d[i*n+j] += -m * d[k*n+j]
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return nil
 }
 
 // Solve solves A*x = b using the factorization.
 func (f *LU) Solve(b []float64) []float64 {
+	x := make([]float64, f.lu.Rows)
+	f.SolveInto(x, b)
+	return x
+}
+
+// SolveInto solves A*x = b using the factorization, writing x into dst
+// (len(dst) == len(b) == n; dst must not alias b).
+func (f *LU) SolveInto(dst, b []float64) {
 	n := f.lu.Rows
-	if len(b) != n {
-		panic(fmt.Sprintf("mat: LU solve length mismatch %d vs %d", len(b), n))
+	if len(b) != n || len(dst) != n {
+		panic(fmt.Sprintf("mat: LU solve length mismatch %d, %d vs %d", len(b), len(dst), n))
 	}
-	x := make([]float64, n)
+	x, d := dst, f.lu.Data
 	for i, p := range f.piv {
 		x[i] = b[p]
 	}
@@ -77,7 +100,7 @@ func (f *LU) Solve(b []float64) []float64 {
 	for i := 1; i < n; i++ {
 		s := x[i]
 		for j := 0; j < i; j++ {
-			s -= f.lu.At(i, j) * x[j]
+			s -= d[i*n+j] * x[j]
 		}
 		x[i] = s
 	}
@@ -85,11 +108,10 @@ func (f *LU) Solve(b []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= f.lu.At(i, j) * x[j]
+			s -= d[i*n+j] * x[j]
 		}
-		x[i] = s / f.lu.At(i, i)
+		x[i] = s / d[i*n+i]
 	}
-	return x
 }
 
 // Det returns the determinant of the factored matrix.
@@ -119,14 +141,15 @@ func Inverse(a *Mat) (*Mat, error) {
 	n := a.Rows
 	inv := New(n, n)
 	e := make([]float64, n)
+	col := make([]float64, n)
 	for j := 0; j < n; j++ {
 		for i := range e {
 			e[i] = 0
 		}
 		e[j] = 1
-		col := f.Solve(e)
+		f.SolveInto(col, e)
 		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
+			inv.Data[i*n+j] = col[i]
 		}
 	}
 	return inv, nil

@@ -26,6 +26,7 @@ package mpc
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/mat"
 	"repro/internal/qp"
@@ -98,6 +99,58 @@ type Controller struct {
 	gtil   []float64 // gains in W per normalized unit
 	lastD  []float64 // previous period's solution (normalized), for warm starts
 	detail bool      // populate the Diagnostics detail fields (flight recorder)
+}
+
+// workspace holds one Compute call's transient buffers: the normalized
+// operating point and bounds, the free-knob slices, the condensed QP
+// (H, g, A, b), the warm start and the active-set solver. Nothing in a
+// workspace survives a Compute call — every buffer is reinitialized
+// before use — so which workspace a call draws never changes a result.
+type workspace struct {
+	x, lo, d0full    []float64
+	free             []int
+	xf, lof, rf, gtf []float64
+	h, a             mat.Mat
+	g, b             []float64
+	x0               []float64
+	solver           qp.Solver
+}
+
+// workspaces is the package-level pool Compute draws from, rather than
+// a workspace per Controller: a fleet's controllers compute one at a
+// time per worker, so a handful of workspaces serve thousands of
+// controllers, where per-controller buffers would grow the live heap
+// with the fleet. It is a mutex-guarded free list rather than a
+// sync.Pool because sync.Pool drops a random quarter of its Puts under
+// the race detector, which would make the allocation-count tests
+// nondeterministic in race builds. At most maxIdleWorkspaces are kept;
+// the pool never holds more than the peak number of concurrent calls.
+var workspaces struct {
+	mu   sync.Mutex
+	idle []*workspace
+}
+
+const maxIdleWorkspaces = 64
+
+func getWorkspace() *workspace {
+	workspaces.mu.Lock()
+	defer workspaces.mu.Unlock()
+	n := len(workspaces.idle)
+	if n == 0 {
+		return new(workspace)
+	}
+	ws := workspaces.idle[n-1]
+	workspaces.idle[n-1] = nil
+	workspaces.idle = workspaces.idle[:n-1]
+	return ws
+}
+
+func putWorkspace(ws *workspace) {
+	workspaces.mu.Lock()
+	defer workspaces.mu.Unlock()
+	if len(workspaces.idle) < maxIdleWorkspaces {
+		workspaces.idle = append(workspaces.idle, ws)
+	}
 }
 
 // Diagnostics reports solver internals for one control period.
@@ -259,9 +312,13 @@ func (c *Controller) Compute(measuredW, setpointW float64, knobs, throughput, lo
 		return nil, nil, fmt.Errorf("mpc: %d lower bounds for %d knobs", len(lower), n)
 	}
 
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+
 	// Normalized current position and lower bounds.
-	x := make([]float64, n)
-	lo := make([]float64, n)
+	ws.x = mat.Reuse(ws.x, n)
+	ws.lo = mat.Reuse(ws.lo, n)
+	x, lo := ws.x, ws.lo
 	clamped := false
 	for i := 0; i < n; i++ {
 		x[i] = (knobs[i] - c.fmin[i]) / c.scale[i]
@@ -302,8 +359,10 @@ func (c *Controller) Compute(measuredW, setpointW float64, knobs, throughput, lo
 	// analytically: their move is fixed and its power effect folded into
 	// the tracking bias; the QP runs over the free knobs only.
 	const pinTol = 1e-9
-	free := make([]int, 0, n)
-	d0full := make([]float64, n)
+	ws.free = mat.Reuse(ws.free, n)
+	free := ws.free[:0]
+	ws.d0full = mat.Reuse(ws.d0full, n)
+	d0full := ws.d0full
 	var pinned []bool
 	if c.detail {
 		pinned = make([]bool, n)
@@ -324,19 +383,20 @@ func (c *Controller) Compute(measuredW, setpointW float64, knobs, throughput, lo
 
 	if len(free) > 0 {
 		nf := len(free)
-		xf := make([]float64, nf)
-		lof := make([]float64, nf)
-		rf := make([]float64, nf)
-		gtf := make([]float64, nf)
+		ws.xf = mat.Reuse(ws.xf, nf)
+		ws.lof = mat.Reuse(ws.lof, nf)
+		ws.rf = mat.Reuse(ws.rf, nf)
+		ws.gtf = mat.Reuse(ws.gtf, nf)
+		xf, lof, rf, gtf := ws.xf, ws.lof, ws.rf, ws.gtf
 		for k, i := range free {
 			xf[k], lof[k], rf[k], gtf[k] = x[i], lo[i], r[i], c.gtil[i]
 		}
-		hmat, gvec := c.condense(bias, xf, rf, gtf)
-		amat, bvec := c.constraints(xf, lof)
+		c.condense(ws, bias, xf, rf, gtf)
+		c.constraints(ws, xf, lof)
 
 		var d0 []float64
 		if c.cfg.UseSLSQP {
-			sol, err := c.solveSLSQP(hmat, gvec, amat, bvec)
+			sol, err := c.solveSLSQP(&ws.h, ws.g, &ws.a, ws.b)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -345,7 +405,7 @@ func (c *Controller) Compute(measuredW, setpointW float64, knobs, throughput, lo
 			diag.SolverIterations = sol.Iterations
 			diag.Solver = "slsqp"
 		} else {
-			sol, err := qp.Solve(&qp.Problem{H: hmat, G: gvec, A: amat, B: bvec}, c.warmStart(nf))
+			sol, err := ws.solver.Solve(&qp.Problem{H: &ws.h, G: ws.g, A: &ws.a, B: ws.b}, c.warmStart(ws, nf))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -414,9 +474,10 @@ func (c *Controller) predictHorizon(measuredW float64, d0full []float64, free []
 // solution shifted by one move block (the receding-horizon tail), zero
 // on a cold start. Infeasible starts are repaired by the solver's
 // phase-1, so stale bounds are harmless.
-func (c *Controller) warmStart(n int) []float64 {
+func (c *Controller) warmStart(ws *workspace, n int) []float64 {
 	dim := c.cfg.M * n
-	x0 := make([]float64, dim)
+	ws.x0 = mat.Reuse(ws.x0, dim)
+	x0 := ws.x0
 	// A dimension change (knobs pinned/unpinned between periods)
 	// invalidates the stored solution; fall back to a cold start.
 	if c.cfg.ColdStart || len(c.lastD) != dim {
@@ -426,13 +487,14 @@ func (c *Controller) warmStart(n int) []float64 {
 	return x0
 }
 
-// condense builds the QP matrices for decision vector
+// condense builds the QP matrices ws.h and ws.g for decision vector
 // D = [d(k); d(k+1|k); ...; d(k+M-1|k)] (normalized units).
-func (c *Controller) condense(bias float64, x, r, gtil []float64) (*mat.Mat, []float64) {
+func (c *Controller) condense(ws *workspace, bias float64, x, r, gtil []float64) {
 	n := len(gtil)
 	dim := c.cfg.M * n
-	h := mat.New(dim, dim)
-	g := make([]float64, dim)
+	ws.h.Reset(dim, dim)
+	ws.g = mat.Reuse(ws.g, dim)
+	h, g := ws.h.Data, ws.g
 
 	// Tracking term: for each prediction step j, the predicted error is
 	// bias + Σ_{i < min(j,M)} gtil·d_i.
@@ -447,7 +509,7 @@ func (c *Controller) condense(bias float64, x, r, gtil []float64) (*mat.Mat, []f
 				g[bi*n+p] += 2 * c.cfg.Q * bias * gtil[p]
 				for bj := 0; bj < moves; bj++ {
 					for q := 0; q < n; q++ {
-						h.Add(bi*n+p, bj*n+q, 2*c.cfg.Q*gtil[p]*gtil[q])
+						h[(bi*n+p)*dim+bj*n+q] += 2 * c.cfg.Q * gtil[p] * gtil[q]
 					}
 				}
 			}
@@ -461,36 +523,36 @@ func (c *Controller) condense(bias float64, x, r, gtil []float64) (*mat.Mat, []f
 			for p := 0; p < n; p++ {
 				g[bi*n+p] += 2 * r[p] * x[p]
 				for bj := 0; bj <= i; bj++ {
-					h.Add(bi*n+p, bj*n+p, 2*r[p])
+					h[(bi*n+p)*dim+bj*n+p] += 2 * r[p]
 				}
 			}
 		}
 	}
-	return h, g
 }
 
-// constraints builds the inequality system for Eq. (10a) plus SLO lower
-// bounds: for every move step i and knob p,
+// constraints builds the inequality system ws.a, ws.b for Eq. (10a)
+// plus SLO lower bounds: for every move step i and knob p,
 //
 //	lo_p − x_p ≤ Σ_{b<=i} d_b,p ≤ 1 − x_p.
-func (c *Controller) constraints(x, lo []float64) (*mat.Mat, []float64) {
+func (c *Controller) constraints(ws *workspace, x, lo []float64) {
 	n := len(x)
 	dim := c.cfg.M * n
 	rows := 2 * c.cfg.M * n
-	a := mat.New(rows, dim)
-	b := make([]float64, rows)
+	ws.a.Reset(rows, dim)
+	ws.b = mat.Reuse(ws.b, rows)
+	a, b := ws.a.Data, ws.b
 	row := 0
 	for i := 0; i < c.cfg.M; i++ {
 		for p := 0; p < n; p++ {
 			// Upper: Σ_{b<=i} d_b,p ≤ 1 − x_p.
 			for bi := 0; bi <= i; bi++ {
-				a.Set(row, bi*n+p, 1)
+				a[row*dim+bi*n+p] = 1
 			}
 			b[row] = 1 - x[p]
 			row++
 			// Lower: −Σ_{b<=i} d_b,p ≤ x_p − lo_p.
 			for bi := 0; bi <= i; bi++ {
-				a.Set(row, bi*n+p, -1)
+				a[row*dim+bi*n+p] = -1
 			}
 			// When a freshly tightened SLO bound puts the current
 			// operating point below lo, this right-hand side is negative:
@@ -500,18 +562,17 @@ func (c *Controller) constraints(x, lo []float64) (*mat.Mat, []float64) {
 			row++
 		}
 	}
-	return a, b
 }
 
 // solveSLSQP runs the same condensed problem through the SQP solver.
 func (c *Controller) solveSLSQP(h *mat.Mat, g []float64, a *mat.Mat, b []float64) (*slsqp.Result, error) {
 	obj := slsqp.Objective{
-		//lint:ignore hotalloc one objective pair per QP solve, amortized over the whole SQP iteration; workspace reuse is tracked on the roadmap
+		//lint:ignore hotalloc slsqp's callback API takes the objective as closures over this period's H and g: built once per solve, and only on the A4 ablation path (Config.UseSLSQP)
 		Func: func(d []float64) float64 {
 			hd := h.MulVec(d)
 			return 0.5*mat.Dot(d, hd) + mat.Dot(g, d)
 		},
-		//lint:ignore hotalloc see Func above: per-solve, not per-iteration
+		//lint:ignore hotalloc see Func above: once per solve, A4 path only
 		Grad: func(d []float64) []float64 {
 			grad := h.MulVec(d)
 			mat.Axpy(1, g, grad)
@@ -520,7 +581,7 @@ func (c *Controller) solveSLSQP(h *mat.Mat, g []float64, a *mat.Mat, b []float64
 	}
 	cons := make([]slsqp.Constraint, a.Rows)
 	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
+		row := a.RowView(i)
 		bi := b[i]
 		cons[i] = slsqp.Constraint{
 			//lint:ignore hotalloc one closure per constraint row per solve; the rows must be captured for the solver's callback API
@@ -550,8 +611,9 @@ func (c *Controller) FeedbackGains(throughput []float64) ([]float64, error) {
 	r := c.penaltyWeights(throughput)
 
 	solve := func(bias float64) ([]float64, error) {
-		h, g := c.condense(bias, x, r, c.gtil)
-		sol, err := mat.Solve(h, mat.ScaleVec(-1, g))
+		ws := new(workspace)
+		c.condense(ws, bias, x, r, c.gtil)
+		sol, err := mat.Solve(&ws.h, mat.ScaleVec(-1, ws.g))
 		if err != nil {
 			return nil, fmt.Errorf("mpc: feedback gain solve: %w", err)
 		}

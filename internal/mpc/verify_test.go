@@ -58,7 +58,9 @@ func TestCondensedQPMatchesEq9(t *testing.T) {
 			x[i] = rng.Float64()
 			r[i] = 0.5 + 3*rng.Float64()
 		}
-		h, g := c.condense(bias, x, r, c.gtil)
+		ws := new(workspace)
+		c.condense(ws, bias, x, r, c.gtil)
+		h, g := &ws.h, ws.g
 		// Constant offset = cost at D = 0.
 		zero := make([]float64, c.cfg.M*n)
 		c0 := eq9Cost(c, zero, bias, x, r)
@@ -99,9 +101,7 @@ func TestComputeBeatsRandomFeasiblePoints(t *testing.T) {
 			x[i] = 0.2 + 0.6*rng.Float64()
 			r[i] = 0.5 + 3*rng.Float64()
 		}
-		h, g := c.condense(bias, x, r, c.gtil)
-		a, b := c.constraints(x, make([]float64, n))
-		res, err := qp.Solve(&qp.Problem{H: h, G: g, A: a, B: b}, make([]float64, c.cfg.M*n))
+		res, err := qp.Solve(mpcProblem(c, bias, x, r, make([]float64, n)), make([]float64, c.cfg.M*n))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,15 +55,26 @@ const (
 
 // Objective evaluates ½ xᵀHx + gᵀx.
 func (p *Problem) Objective(x []float64) float64 {
-	hx := p.H.MulVec(x)
+	return p.objective(x, make([]float64, len(x)))
+}
+
+// objective evaluates ½ xᵀHx + gᵀx, using hx as scratch for Hx.
+func (p *Problem) objective(x, hx []float64) float64 {
+	p.H.MulVecInto(hx, x)
 	return 0.5*mat.Dot(x, hx) + mat.Dot(p.G, x)
 }
 
 // gradient returns Hx + g.
 func (p *Problem) gradient(x []float64) []float64 {
-	grad := p.H.MulVec(x)
-	mat.Axpy(1, p.G, grad)
+	grad := make([]float64, len(x))
+	p.gradientInto(grad, x)
 	return grad
+}
+
+// gradientInto writes Hx + g into grad.
+func (p *Problem) gradientInto(grad, x []float64) {
+	p.H.MulVecInto(grad, x)
+	mat.Axpy(1, p.G, grad)
 }
 
 // numConstraints returns the number of inequality rows.
@@ -90,42 +101,77 @@ func (p *Problem) validate() error {
 	return nil
 }
 
+// Solver is a reusable active-set workspace: it holds the iterate,
+// gradient, step, working set, KKT matrix, right-hand side and LU
+// storage, so a Solver that has seen a problem of a given size solves
+// the next one of that size or smaller without allocating. The zero
+// value is ready to use. A Solver is not safe for concurrent use.
+//
+// The Result returned by Solve, and its X, Active and Lambda slices,
+// alias the workspace: they stay valid only until the next call to
+// Solve on the same Solver. Copy what must outlive it.
+//
+// Reuse never changes a result: every buffer is reinitialized per
+// call, and the arithmetic is the same sequence of floating-point
+// operations as on a fresh Solver, so the output is bit-identical.
+type Solver struct {
+	x, grad, hx []float64
+	sol, rhs    []float64
+	norms       []float64
+	lambda      []float64
+	working     []int
+	active      []int
+	inWorking   []bool
+	kkt         mat.Mat
+	lu          mat.LU
+	res         Result
+}
+
 // Solve minimizes the QP starting from x0, which must be feasible. If x0
 // is nil, Solve first computes a feasible point with FindFeasible.
 func Solve(p *Problem, x0 []float64) (*Result, error) {
+	return new(Solver).Solve(p, x0)
+}
+
+// Solve minimizes the QP starting from x0 (see the package-level Solve)
+// in the solver's workspace. x0 may alias the X of this solver's
+// previous Result.
+func (s *Solver) Solve(p *Problem, x0 []float64) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	n := len(p.G)
 	m := p.numConstraints()
 
-	var x []float64
 	if x0 != nil {
 		if len(x0) != n {
 			return nil, fmt.Errorf("qp: x0 has %d entries, want %d", len(x0), n)
 		}
-		x = append([]float64(nil), x0...)
-		if viol := maxViolation(p, x); viol > 1e-6 {
+		s.x = append(s.x[:0], x0...)
+		if viol := maxViolation(p, s.x); viol > 1e-6 {
 			// Repair rather than reject: callers hand in the previous
 			// period's operating point, which can drift infeasible when
 			// SLO bounds tighten between periods.
-			fp, err := FindFeasible(p.A, p.B, x)
-			if err != nil {
+			if err := s.findFeasible(p.A, p.B); err != nil {
 				return nil, err
 			}
-			x = fp
 		}
 	} else {
-		fp, err := FindFeasible(p.A, p.B, make([]float64, n))
-		if err != nil {
+		s.x = mat.Reuse(s.x, n)
+		if err := s.findFeasible(p.A, p.B); err != nil {
 			return nil, err
 		}
-		x = fp
 	}
+	x := s.x
+	s.grad = mat.Reuse(s.grad, n)
+	s.hx = mat.Reuse(s.hx, n)
 
-	// Working set: indices of constraints treated as equalities.
-	working := make([]int, 0, m)
-	inWorking := make([]bool, m)
+	// Working set: indices of constraints treated as equalities. It
+	// never holds more than m distinct rows, so appends stay in place.
+	s.working = mat.Reuse(s.working, m)
+	working := s.working[:0]
+	inWorking := mat.Reuse(s.inWorking, m)
+	s.inWorking = inWorking
 	for i := 0; i < m; i++ {
 		if math.Abs(residual(p, x, i)) <= featol {
 			working = append(working, i)
@@ -143,19 +189,20 @@ func Solve(p *Problem, x0 []float64) (*Result, error) {
 		}
 	}
 
-	lambda := make([]float64, m)
 	for iter := 1; iter <= maxIter; iter++ {
-		step, lam, err := eqpStep(p, x, working)
+		step, lam, err := s.eqpStep(p, x, working)
 		if err != nil {
 			return nil, err
 		}
 		// Treat the step as null when it is tiny OR when it cannot
 		// reduce the objective beyond rounding noise; the latter guards
 		// against stagnation loops on ill-conditioned Hessians (the MPC
-		// tracking term has condition numbers ~1e7).
-		predDecrease := -(mat.Dot(p.gradient(x), step) + 0.5*mat.Dot(step, p.H.MulVec(step)))
+		// tracking term has condition numbers ~1e7). s.grad still holds
+		// the gradient at x from eqpStep.
+		p.H.MulVecInto(s.hx, step)
+		predDecrease := -(mat.Dot(s.grad, step) + 0.5*mat.Dot(step, s.hx))
 		if mat.Norm2(step) <= opttol*(1+mat.Norm2(x)) ||
-			predDecrease <= 1e-12*(1+math.Abs(p.Objective(x))) {
+			predDecrease <= 1e-12*(1+math.Abs(p.objective(x, s.hx))) {
 			// No progress possible on the working set: check multipliers.
 			minLam, minIdx := 0.0, -1
 			for k, wi := range working {
@@ -165,19 +212,19 @@ func Solve(p *Problem, x0 []float64) (*Result, error) {
 			}
 			if minIdx < 0 {
 				// KKT conditions hold; done.
-				for i := range lambda {
-					lambda[i] = 0
-				}
+				s.lambda = mat.Reuse(s.lambda, m)
 				for k, wi := range working {
-					lambda[wi] = lam[k]
+					s.lambda[wi] = lam[k]
 				}
-				return &Result{
+				s.active = append(s.active[:0], working...)
+				s.res = Result{
 					X:          x,
-					Obj:        p.Objective(x),
+					Obj:        p.objective(x, s.hx),
 					Iterations: iter,
-					Active:     append([]int(nil), working...),
-					Lambda:     lambda,
-				}, nil
+					Active:     s.active,
+					Lambda:     s.lambda,
+				}
+				return &s.res, nil
 			}
 			// Drop the most negative multiplier's constraint.
 			working = removeIndex(working, minIdx)
@@ -190,11 +237,12 @@ func Solve(p *Problem, x0 []float64) (*Result, error) {
 			if inWorking[i] {
 				continue
 			}
-			as := mat.Dot(p.A.Row(i), step)
+			row := p.A.RowView(i)
+			as := mat.Dot(row, step)
 			if as <= featol {
 				continue // moving away from or parallel to this face
 			}
-			room := p.B[i] - mat.Dot(p.A.Row(i), x)
+			room := p.B[i] - mat.Dot(row, x)
 			if room < 0 {
 				room = 0
 			}
@@ -215,51 +263,48 @@ func Solve(p *Problem, x0 []float64) (*Result, error) {
 //
 //	min ½(x+s)ᵀH(x+s) + gᵀ(x+s)  s.t.  A_w s = 0
 //
-// returning the step s and the Lagrange multipliers of the working-set
-// rows, via the KKT system.
-func eqpStep(p *Problem, x []float64, working []int) (step, lam []float64, err error) {
+// via the KKT system, leaving the gradient at x in s.grad. It returns
+// the step and the Lagrange multipliers of the working-set rows, both
+// views into the workspace.
+func (s *Solver) eqpStep(p *Problem, x []float64, working []int) (step, lam []float64, err error) {
 	n := len(p.G)
 	w := len(working)
-	grad := p.gradient(x)
-	kkt := mat.New(n+w, n+w)
+	dim := n + w
+	grad := s.grad
+	p.gradientInto(grad, x)
+	s.kkt.Reset(dim, dim)
+	kkt := s.kkt.Data
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			kkt.Set(i, j, p.H.At(i, j))
-		}
+		copy(kkt[i*dim:i*dim+n], p.H.RowView(i))
 	}
 	for k, ci := range working {
-		row := p.A.Row(ci)
+		row := p.A.RowView(ci)
 		for j := 0; j < n; j++ {
-			kkt.Set(n+k, j, row[j])
-			kkt.Set(j, n+k, row[j])
+			kkt[(n+k)*dim+j] = row[j]
+			kkt[j*dim+n+k] = row[j]
 		}
 	}
-	rhs := make([]float64, n+w)
+	s.rhs = mat.Reuse(s.rhs, dim)
 	for i := 0; i < n; i++ {
-		rhs[i] = -grad[i]
+		s.rhs[i] = -grad[i]
 	}
-	sol, err := mat.Solve(kkt, rhs)
-	if err != nil {
+	s.sol = mat.Reuse(s.sol, dim)
+	if err := s.lu.Refactor(&s.kkt); err != nil {
 		// A degenerate working set (linearly dependent rows) can make the
 		// KKT matrix singular; perturb with tiny regularization.
 		for k := 0; k < w; k++ {
-			kkt.Add(n+k, n+k, -1e-10)
+			kkt[(n+k)*dim+n+k] += -1e-10
 		}
-		sol, err = mat.Solve(kkt, rhs)
-		if err != nil {
+		if err := s.lu.Refactor(&s.kkt); err != nil {
 			return nil, nil, fmt.Errorf("qp: KKT system singular: %w", err)
 		}
 	}
-	step = sol[:n]
-	lam = make([]float64, w)
-	for k := 0; k < w; k++ {
-		lam[k] = sol[n+k]
-	}
-	return step, lam, nil
+	s.lu.SolveInto(s.sol, s.rhs)
+	return s.sol[:n], s.sol[n:], nil
 }
 
 func residual(p *Problem, x []float64, i int) float64 {
-	return mat.Dot(p.A.Row(i), x) - p.B[i]
+	return mat.Dot(p.A.RowView(i), x) - p.B[i]
 }
 
 func maxViolation(p *Problem, x []float64) float64 {
@@ -288,13 +333,24 @@ func removeIndex(s []int, val int) []int {
 // with nonempty interior (the MPC's frequency polytopes) convergence is
 // geometric.
 func FindFeasible(a *mat.Mat, b []float64, hint []float64) ([]float64, error) {
-	x := append([]float64(nil), hint...)
-	if a == nil || a.Rows == 0 {
-		return x, nil
+	s := &Solver{x: append([]float64(nil), hint...)}
+	if err := s.findFeasible(a, b); err != nil {
+		return nil, err
 	}
-	norms := make([]float64, a.Rows)
+	return s.x, nil
+}
+
+// findFeasible runs FindFeasible in place on s.x.
+func (s *Solver) findFeasible(a *mat.Mat, b []float64) error {
+	x := s.x
+	if a == nil || a.Rows == 0 {
+		return nil
+	}
+	s.norms = mat.Reuse(s.norms, a.Rows)
+	norms := s.norms
 	for i := 0; i < a.Rows; i++ {
-		norms[i] = mat.Dot(a.Row(i), a.Row(i))
+		row := a.RowView(i)
+		norms[i] = mat.Dot(row, row)
 	}
 	const relax = 1.5 // over-relaxation accelerates convergence
 	for pass := 0; pass < 1000; pass++ {
@@ -302,32 +358,33 @@ func FindFeasible(a *mat.Mat, b []float64, hint []float64) ([]float64, error) {
 		for i := 0; i < a.Rows; i++ {
 			if norms[i] == 0 {
 				if b[i] < -featol {
-					return nil, ErrInfeasible // 0·x ≤ negative
+					return ErrInfeasible // 0·x ≤ negative
 				}
 				continue
 			}
-			r := mat.Dot(a.Row(i), x) - b[i]
+			row := a.RowView(i)
+			r := mat.Dot(row, x) - b[i]
 			if r > featol {
-				mat.Axpy(-relax*r/norms[i], a.Row(i), x)
+				mat.Axpy(-relax*r/norms[i], row, x)
 				if r > worst {
 					worst = r
 				}
 			}
 		}
 		if worst <= featol {
-			return x, nil
+			return nil
 		}
 	}
 	if maxViol(a, b, x) <= 1e-6 {
-		return x, nil
+		return nil
 	}
-	return nil, ErrInfeasible
+	return ErrInfeasible
 }
 
 func maxViol(a *mat.Mat, b, x []float64) float64 {
 	v := 0.0
 	for i := 0; i < a.Rows; i++ {
-		if r := mat.Dot(a.Row(i), x) - b[i]; r > v {
+		if r := mat.Dot(a.RowView(i), x) - b[i]; r > v {
 			v = r
 		}
 	}

@@ -109,6 +109,11 @@ func Minimize(obj Objective, cons []Constraint, lo, hi, x0 []float64, params Par
 	b := mat.Identity(n) // BFGS approximation of the Lagrangian Hessian
 	grad := gradOf(obj.Func, obj.Grad, x, pr.FDStep)
 	mu := 1.0 // merit penalty weight
+	// One QP workspace serves every subproblem. Its result aliases the
+	// workspace, so each iteration finishes with sol before the next
+	// Solve; x0 starts every subproblem at d = 0.
+	var qs qp.Solver
+	zero := make([]float64, n)
 
 	for iter := 1; iter <= pr.MaxIter; iter++ {
 		// Build the QP subproblem around x:
@@ -154,7 +159,7 @@ func Minimize(obj Objective, cons []Constraint, lo, hi, x0 []float64, params Par
 			}
 		}
 		sub := &qp.Problem{H: b, G: grad, A: a, B: rhs}
-		sol, err := qp.Solve(sub, make([]float64, n))
+		sol, err := qs.Solve(sub, zero)
 		if err != nil {
 			// Infeasible linearization: relax the constraint rows
 			// (elastic mode) by allowing the current violation.
@@ -164,7 +169,7 @@ func Minimize(obj Objective, cons []Constraint, lo, hi, x0 []float64, params Par
 						rhs[i] = 0
 					}
 				}
-				sol, err = qp.Solve(sub, make([]float64, n))
+				sol, err = qs.Solve(sub, zero)
 			}
 			if err != nil {
 				return &Result{X: x, Obj: obj.Func(x), Iterations: iter}, fmt.Errorf("slsqp: subproblem: %w", err)
